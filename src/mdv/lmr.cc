@@ -28,6 +28,10 @@ struct LmrMetrics {
   obs::Counter& applied = r.GetCounter("mdv.lmr.notifications_applied_total");
   obs::Counter& evictions = r.GetCounter("mdv.lmr.gc_evictions_total");
   obs::Histogram& apply_us = r.GetHistogram("mdv.lmr.apply_us");
+  obs::Histogram& query_us = r.GetHistogram("mdv.lmr.query_us");
+  /// Candidate bindings the query evaluator tried (rules::EvalStats).
+  obs::Counter& query_bindings =
+      r.GetCounter("mdv.lmr.query_bindings_total");
   /// Entries the most recent replica join had to stage — how far behind
   /// the joiner was when it (re)attached.
   obs::Gauge& lag_entries = r.GetGauge("mdv.repl.lag_entries");
@@ -919,16 +923,20 @@ std::vector<std::string> LocalMetadataRepository::CachedUris() const {
 
 Result<std::vector<QueryMatch>> LocalMetadataRepository::Query(
     std::string_view query_text) const {
+  LmrMetrics& metrics = LmrMetrics::Get();
+  obs::ScopedLatency latency(&metrics.query_us);
   MutexLock lock(mu_);
   // The query language shares the rule language's syntax and semantics
   // (§2.2); evaluation runs against locally available metadata only.
   rules::ResourceMap resources;
   for (const auto& [uri, entry] : cache_) {
-    resources.emplace(uri, &entry.resource);
+    resources.emplace_hint(resources.end(), uri, &entry.resource);
   }
+  rules::EvalStats stats;
   MDV_ASSIGN_OR_RETURN(
       std::vector<std::string> uris,
-      rules::EvaluateRuleText(query_text, *schema_, resources));
+      rules::EvaluateRuleText(query_text, *schema_, resources, &stats));
+  metrics.query_bindings.Add(static_cast<int64_t>(stats.bindings_tried));
   std::vector<QueryMatch> out;
   out.reserve(uris.size());
   for (const std::string& uri : uris) {

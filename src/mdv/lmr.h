@@ -45,6 +45,10 @@ struct CacheEntry {
 };
 
 /// Result row of an LMR query: a cached resource with its uri.
+/// `resource` points into the LMR cache, like Find(): it stays valid only
+/// until the next cache mutation, which an asynchronous notification can
+/// make at any time. Read it while the system is quiesced (e.g. after
+/// Network::WaitQuiescent), or copy what you need.
 struct QueryMatch {
   std::string uri_reference;
   const rdf::Resource* resource = nullptr;
@@ -189,7 +193,9 @@ class LocalMetadataRepository {
 
   /// Evaluates a query (same `search ... register ... where ...` syntax
   /// as the rule language, §2.2) against the cached metadata only.
-  /// Returns the matching resources sorted by uri.
+  /// Returns the matching resources sorted by uri. The returned
+  /// QueryMatch::resource pointers are valid only until the next cache
+  /// mutation (the same contract as Find()).
   Result<std::vector<QueryMatch>> Query(std::string_view query_text) const
       EXCLUDES(mu_);
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
 #include "rdf/parser.h"
 #include "rdf/writer.h"
 
@@ -193,12 +194,21 @@ TEST_F(MdvSystemTest, QueryWithJoinOverCache) {
                   ->RegisterDocument(
                       MakeProviderDoc("d.rdf", "pirates.uni-passau.de", 92))
                   .ok());
+  obs::MetricsRegistry& metrics = obs::DefaultMetrics();
+  obs::Histogram& query_us = metrics.GetHistogram("mdv.lmr.query_us");
+  obs::Counter& bindings = metrics.GetCounter("mdv.lmr.query_bindings_total");
+  const int64_t queries_before = query_us.GetSnapshot().count;
+  const int64_t bindings_before = bindings.value();
   Result<std::vector<QueryMatch>> result = lmr_->Query(
       "search CycleProvider c register c "
       "where c.serverInformation.memory > 64 "
       "and c.serverHost contains 'passau'");
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->size(), 1u);
+  EXPECT_EQ(query_us.GetSnapshot().count, queries_before + 1);
+  // Filtering c and its ServerInformation tries one binding each; the
+  // join then binds c and looks its ServerInformation up: 4 in all.
+  EXPECT_EQ(bindings.value() - bindings_before, 4);
 }
 
 TEST_F(MdvSystemTest, LocalMetadataQueryableButNotPublished) {
