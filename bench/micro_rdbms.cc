@@ -1,12 +1,11 @@
 // Microbenchmarks of the embedded relational substrate, on
-// google-benchmark: insert throughput, indexed vs. scanned selection,
-// and hash-join probes. These calibrate the building blocks the filter
+// google-benchmark: insert throughput and indexed vs. scanned
+// selection. These calibrate the building blocks the filter
 // algorithm's costs are made of.
 
 #include <benchmark/benchmark.h>
 
 #include "rdbms/database.h"
-#include "rdbms/query.h"
 #include "rdbms/table.h"
 
 namespace {
@@ -16,7 +15,6 @@ using mdv::rdbms::ColumnType;
 using mdv::rdbms::CompareOp;
 using mdv::rdbms::IndexKind;
 using mdv::rdbms::Row;
-using mdv::rdbms::RowSet;
 using mdv::rdbms::ScanCondition;
 using mdv::rdbms::Table;
 using mdv::rdbms::TableSchema;
@@ -70,23 +68,6 @@ void BM_PointLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PointLookup)->Arg(0)->Arg(1);
-
-void BM_HashJoin(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  RowSet left, right;
-  left.columns = {"k", "payload"};
-  right.columns = {"k", "payload"};
-  for (int64_t i = 0; i < n; ++i) {
-    left.rows.push_back(Row{Value(i), Value("l")});
-    right.rows.push_back(Row{Value(i % (n / 2 + 1)), Value("r")});
-  }
-  for (auto _ : state) {
-    RowSet joined = HashJoin(left, 0, right, 0);
-    benchmark::DoNotOptimize(joined);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000);
 
 void BM_BTreeRange(benchmark::State& state) {
   Table table(TableSchema(

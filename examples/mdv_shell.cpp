@@ -12,7 +12,6 @@
 //   delete <uri>              delete a document
 //   query <rule>              query the LMR cache
 //   browse <rule>             evaluate a rule at the MDP (no subscription)
-//   sql <statement>           run SQL against the MDP's filter database
 //   cache                     list the LMR cache contents
 //   docs                      list registered documents
 //   stats                     network/filter statistics
@@ -23,7 +22,6 @@
 #include <string>
 
 #include "mdv/system.h"
-#include "rdbms/sql.h"
 #include "rdf/parser.h"
 #include "rdf/schema.h"
 #include "rdf/writer.h"
@@ -40,7 +38,6 @@ void PrintHelp() {
       "  delete <uri>\n"
       "  query <rule>\n"
       "  browse <rule>\n"
-      "  sql <statement>\n"
       "  cache | docs | stats | help | quit\n";
 }
 
@@ -125,17 +122,6 @@ int main() {
         std::cout << "  " << uri << "\n";
       }
       std::cout << result->size() << " match(es)\n";
-    } else if (command == "sql") {
-      mdv::Result<mdv::rdbms::SqlResult> result =
-          mdv::rdbms::ExecuteSql(provider->mutable_database(), rest);
-      if (!result.ok()) {
-        std::cout << "error: " << result.status() << "\n";
-      } else if (result->is_query) {
-        std::cout << mdv::rdbms::FormatRowSet(result->rows);
-        std::cout << result->rows.NumRows() << " row(s)\n";
-      } else {
-        std::cout << result->affected_rows << " row(s) affected\n";
-      }
     } else if (command == "cache") {
       for (const std::string& uri : lmr->CachedUris()) {
         const mdv::CacheEntry* entry = lmr->Find(uri);

@@ -208,7 +208,6 @@ class MetadataProvider {
 
   const DocumentStore& documents() const { return documents_; }
   const rdbms::Database& database() const { return *db_; }
-  rdbms::Database* mutable_database() { return db_.get(); }
   const filter::RuleStore& rule_store() const { return *rule_store_; }
   const pubsub::SubscriptionRegistry& subscriptions() const {
     return registry_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -61,8 +62,11 @@ void Network::Attach(pubsub::LmrId lmr, Handler handler,
     // In async mode the LMR handler runs on the endpoint's transport
     // thread, serially per LMR; the reliable link has already decoded,
     // deduplicated and ordered the notification stream.
-    (void)async_->link.BindReceiver(lmr, std::move(handler),
-                                    std::move(durability));
+    Status bound = async_->link.BindReceiver(lmr, std::move(handler),
+                                             std::move(durability));
+    if (!bound.ok()) {
+      MDV_LOG(Error) << "attach of lmr " << lmr << " refused: " << bound;
+    }
     return;
   }
   MutexLock lock(mutex_);

@@ -104,6 +104,12 @@ Status ReliableLink::BindReceiver(pubsub::LmrId lmr,
   int64_t seeded_holdback = 0;
   {
     MutexLock lock(mu_);
+    // Refuse an occupied id before touching any state: the live
+    // receiver's handler, journal and flows must survive the refusal.
+    if (receivers_.count(lmr) != 0) {
+      return Status::AlreadyExists("LMR " + std::to_string(lmr) +
+                                   " already has a bound receiver");
+    }
     Receiver& receiver = receivers_[lmr];
     receiver.handler = std::move(handler);
     receiver.journal = std::move(durability.journal);

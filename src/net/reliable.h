@@ -119,6 +119,8 @@ class ReliableLink {
   /// transport's endpoint thread, serially per LMR. `durability`
   /// optionally journals every new frame pre-ack and seeds the flow
   /// state a previous incarnation persisted (see ReceiverDurability).
+  /// AlreadyExists, with the bound receiver left intact, if `lmr` is
+  /// already bound.
   Status BindReceiver(pubsub::LmrId lmr, NotificationHandler handler,
                       ReceiverDurability durability = {}) EXCLUDES(mu_);
 

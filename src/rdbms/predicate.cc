@@ -39,26 +39,6 @@ CompareOp FlipCompareOp(CompareOp op) {
   }
 }
 
-CompareOp NegateCompareOp(CompareOp op) {
-  switch (op) {
-    case CompareOp::kEq:
-      return CompareOp::kNe;
-    case CompareOp::kNe:
-      return CompareOp::kEq;
-    case CompareOp::kLt:
-      return CompareOp::kGe;
-    case CompareOp::kLe:
-      return CompareOp::kGt;
-    case CompareOp::kGt:
-      return CompareOp::kLe;
-    case CompareOp::kGe:
-      return CompareOp::kLt;
-    case CompareOp::kContains:
-      return CompareOp::kContains;
-  }
-  return op;
-}
-
 bool EvaluateCompare(const Value& lhs, CompareOp op, const Value& rhs) {
   if (lhs.is_null() || rhs.is_null()) return false;
   if (op == CompareOp::kContains) {
@@ -104,148 +84,5 @@ bool EvaluateCompare(const Value& lhs, CompareOp op, const Value& rhs) {
   }
   return false;
 }
-
-namespace {
-
-class ColumnComparePredicate final : public Predicate {
- public:
-  ColumnComparePredicate(size_t column, CompareOp op, Value constant)
-      : column_(column), op_(op), constant_(std::move(constant)) {}
-
-  bool Evaluate(const Row& row) const override {
-    return EvaluateCompare(row[column_], op_, constant_);
-  }
-
-  std::string ToString() const override {
-    return "$" + std::to_string(column_) + " " + CompareOpToString(op_) + " " +
-           constant_.ToString();
-  }
-
- private:
-  size_t column_;
-  CompareOp op_;
-  Value constant_;
-};
-
-class ColumnColumnComparePredicate final : public Predicate {
- public:
-  ColumnColumnComparePredicate(size_t lhs, CompareOp op, size_t rhs)
-      : lhs_(lhs), op_(op), rhs_(rhs) {}
-
-  bool Evaluate(const Row& row) const override {
-    return EvaluateCompare(row[lhs_], op_, row[rhs_]);
-  }
-
-  std::string ToString() const override {
-    return "$" + std::to_string(lhs_) + " " + CompareOpToString(op_) + " $" +
-           std::to_string(rhs_);
-  }
-
- private:
-  size_t lhs_;
-  CompareOp op_;
-  size_t rhs_;
-};
-
-class AndPredicate final : public Predicate {
- public:
-  explicit AndPredicate(std::vector<PredicatePtr> children)
-      : children_(std::move(children)) {}
-
-  bool Evaluate(const Row& row) const override {
-    for (const auto& child : children_) {
-      if (!child->Evaluate(row)) return false;
-    }
-    return true;
-  }
-
-  std::string ToString() const override {
-    if (children_.empty()) return "TRUE";
-    std::string out = "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) out += " AND ";
-      out += children_[i]->ToString();
-    }
-    return out + ")";
-  }
-
- private:
-  std::vector<PredicatePtr> children_;
-};
-
-class OrPredicate final : public Predicate {
- public:
-  explicit OrPredicate(std::vector<PredicatePtr> children)
-      : children_(std::move(children)) {}
-
-  bool Evaluate(const Row& row) const override {
-    for (const auto& child : children_) {
-      if (child->Evaluate(row)) return true;
-    }
-    return false;
-  }
-
-  std::string ToString() const override {
-    if (children_.empty()) return "FALSE";
-    std::string out = "(";
-    for (size_t i = 0; i < children_.size(); ++i) {
-      if (i > 0) out += " OR ";
-      out += children_[i]->ToString();
-    }
-    return out + ")";
-  }
-
- private:
-  std::vector<PredicatePtr> children_;
-};
-
-class NotPredicate final : public Predicate {
- public:
-  explicit NotPredicate(PredicatePtr child) : child_(std::move(child)) {}
-
-  bool Evaluate(const Row& row) const override {
-    return !child_->Evaluate(row);
-  }
-
-  std::string ToString() const override {
-    return "NOT " + child_->ToString();
-  }
-
- private:
-  PredicatePtr child_;
-};
-
-class TruePredicate final : public Predicate {
- public:
-  bool Evaluate(const Row&) const override { return true; }
-  std::string ToString() const override { return "TRUE"; }
-};
-
-}  // namespace
-
-PredicatePtr ColumnCompare(size_t column, CompareOp op, Value constant) {
-  return std::make_shared<ColumnComparePredicate>(column, op,
-                                                  std::move(constant));
-}
-
-PredicatePtr ColumnColumnCompare(size_t lhs_column, CompareOp op,
-                                 size_t rhs_column) {
-  return std::make_shared<ColumnColumnComparePredicate>(lhs_column, op,
-                                                        rhs_column);
-}
-
-PredicatePtr And(std::vector<PredicatePtr> children) {
-  return std::make_shared<AndPredicate>(std::move(children));
-}
-
-PredicatePtr Or(std::vector<PredicatePtr> children) {
-  return std::make_shared<OrPredicate>(std::move(children));
-}
-
-PredicatePtr Not(PredicatePtr child) {
-  return std::make_shared<NotPredicate>(std::move(child));
-}
-
-PredicatePtr True() { return std::make_shared<TruePredicate>(); }
 
 }  // namespace mdv::rdbms

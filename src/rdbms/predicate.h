@@ -1,12 +1,6 @@
 #ifndef MDV_RDBMS_PREDICATE_H_
 #define MDV_RDBMS_PREDICATE_H_
 
-#include <memory>
-#include <string>
-#include <vector>
-
-#include "rdbms/row.h"
-#include "rdbms/schema.h"
 #include "rdbms/value.h"
 
 namespace mdv::rdbms {
@@ -20,38 +14,10 @@ const char* CompareOpToString(CompareOp op);
 /// The operator with operand sides swapped (a < b  <=>  b > a).
 CompareOp FlipCompareOp(CompareOp op);
 
-/// The logical negation (a < b  <=>  !(a >= b)). kContains has no
-/// negation in this enum and is returned unchanged; callers that negate
-/// contains must handle it separately.
-CompareOp NegateCompareOp(CompareOp op);
-
 /// Evaluates `lhs op rhs` with SQL-ish semantics: comparisons involving
 /// NULL are false; numeric comparisons coerce numeric-looking strings
 /// (paper §3.3.4 stores numeric constants as strings and reconverts).
 bool EvaluateCompare(const Value& lhs, CompareOp op, const Value& rhs);
-
-/// A boolean predicate over one row. Built via the factory functions below
-/// and evaluated row-at-a-time during scans.
-class Predicate {
- public:
-  virtual ~Predicate() = default;
-  virtual bool Evaluate(const Row& row) const = 0;
-  virtual std::string ToString() const = 0;
-};
-
-using PredicatePtr = std::shared_ptr<const Predicate>;
-
-/// column `op` constant.
-PredicatePtr ColumnCompare(size_t column, CompareOp op, Value constant);
-/// column `op` column (same row).
-PredicatePtr ColumnColumnCompare(size_t lhs_column, CompareOp op,
-                                 size_t rhs_column);
-/// Conjunction; empty input means TRUE.
-PredicatePtr And(std::vector<PredicatePtr> children);
-/// Disjunction; empty input means FALSE.
-PredicatePtr Or(std::vector<PredicatePtr> children);
-PredicatePtr Not(PredicatePtr child);
-PredicatePtr True();
 
 }  // namespace mdv::rdbms
 

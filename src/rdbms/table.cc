@@ -146,23 +146,6 @@ Status Table::CreateIndex(const std::string& column_name, IndexKind kind) {
   return Status::OK();
 }
 
-Status Table::DropIndex(const std::string& column_name) {
-  auto col = schema_.ColumnIndex(column_name);
-  if (!col) {
-    return Status::NotFound("column " + column_name + " in table " +
-                            schema_.table_name());
-  }
-  auto it = std::find_if(
-      indexes_.begin(), indexes_.end(),
-      [&](const std::unique_ptr<Index>& ix) { return ix->column() == *col; });
-  if (it == indexes_.end()) {
-    return Status::NotFound("index on " + schema_.table_name() + "." +
-                            column_name);
-  }
-  indexes_.erase(it);
-  return Status::OK();
-}
-
 bool Table::HasIndex(size_t column) const {
   return std::any_of(
       indexes_.begin(), indexes_.end(),
@@ -300,20 +283,6 @@ std::vector<Row> Table::SelectRows(
     const std::vector<ScanCondition>& conditions) const {
   std::vector<Row> out;
   for (RowId id : SelectRowIds(conditions)) out.push_back(*Get(id));
-  return out;
-}
-
-std::vector<RowId> Table::SelectWhere(const Predicate& predicate) const {
-  std::vector<RowId> out;
-  stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
-  metric_full_scans_->Increment();
-  int64_t examined = 0;
-  for (const auto& [id, row] : rows_) {
-    ++examined;
-    if (predicate.Evaluate(row)) out.push_back(id);
-  }
-  stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-  metric_rows_examined_->Add(examined);
   return out;
 }
 

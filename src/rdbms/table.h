@@ -20,7 +20,7 @@
 namespace mdv::rdbms {
 
 /// One conjunct of a simple scan: `column op constant`. Used by the
-/// access-path planner; arbitrary predicates go through SelectWhere.
+/// access-path planner.
 struct ScanCondition {
   size_t column = 0;
   CompareOp op = CompareOp::kEq;
@@ -96,9 +96,6 @@ class Table {
   /// back-filled. AlreadyExists if an index on the column exists.
   Status CreateIndex(const std::string& column_name, IndexKind kind);
 
-  /// Drops the index on `column_name` (NotFound if absent).
-  Status DropIndex(const std::string& column_name);
-
   bool HasIndex(size_t column) const;
 
   /// Visits every row. The callback must not mutate the table.
@@ -113,9 +110,6 @@ class Table {
   /// Returns copies of rows satisfying all `conditions`.
   std::vector<Row> SelectRows(
       const std::vector<ScanCondition>& conditions) const;
-
-  /// Returns ids of rows satisfying an arbitrary predicate (full scan).
-  std::vector<RowId> SelectWhere(const Predicate& predicate) const;
 
   /// Removes all rows satisfying all `conditions`; returns count removed.
   size_t DeleteWhere(const std::vector<ScanCondition>& conditions);

@@ -309,6 +309,30 @@ TEST(ReliableLinkTest, NegativeLmrIdsAreRejected) {
   EXPECT_FALSE(link.BindReceiver(-5, [](const Notification&) {}).ok());
 }
 
+TEST(ReliableLinkTest, RebindingABoundLmrLeavesTheLiveReceiverIntact) {
+  InProcessTransport transport;
+  ReliableOptions reliability;
+  reliability.retransmit_timeout_us = 500;
+  reliability.max_backoff_us = 1000;
+  reliability.max_attempts = 3;
+  reliability.scan_interval_us = 200;
+  ReliableLink link(&transport, reliability);
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  ASSERT_TRUE(
+      link.BindReceiver(1, [&](const Notification&) { ++first; }).ok());
+  EXPECT_EQ(link.BindReceiver(1, [&](const Notification&) { ++second; })
+                .code(),
+            StatusCode::kAlreadyExists);
+
+  const uint64_t sender = link.RegisterSender();
+  ASSERT_TRUE(link.Publish(sender, MakeNote(1, 0)).ok());
+  ASSERT_TRUE(link.WaitSettled(30'000'000));
+  EXPECT_EQ(first.load(), 1);
+  EXPECT_EQ(second.load(), 0);
+  EXPECT_EQ(link.stats().dead_lettered, 0);
+}
+
 TEST(ReliableLinkTest, DeadLettersAfterRetryCapWhenReceiverNeverAcks) {
   TransportOptions options;
   // Drop every notify frame; acks never even get generated.

@@ -8,7 +8,6 @@
 #include "filter/data_store.h"
 #include "filter/engine.h"
 #include "filter/rule_store.h"
-#include "rdbms/sql.h"
 #include "rdbms/table.h"
 
 namespace mdv::rdbms {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "rdbms/database.h"
-#include "rdbms/sql.h"
 #include "rdbms/table.h"
 
 namespace mdv::rdbms {
@@ -117,16 +116,23 @@ TEST_F(TransactionTest, EmptyTransactionIsANoop) {
   EXPECT_EQ(table_->NumRows(), 2u);
 }
 
-TEST_F(TransactionTest, SqlDmlParticipates) {
+TEST_F(TransactionTest, UpdateAndDeleteWhereParticipate) {
   ASSERT_TRUE(db_.BeginTransaction().ok());
-  ASSERT_TRUE(ExecuteSql(&db_, "DELETE FROM people WHERE age < 30").ok());
+  EXPECT_EQ(table_->DeleteWhere(
+                {ScanCondition{1, CompareOp::kLt, Value(int64_t{30})}}),
+            1u);
+  std::vector<RowId> adas =
+      table_->SelectRowIds({ScanCondition{0, CompareOp::kEq, Value("ada")}});
+  ASSERT_EQ(adas.size(), 1u);
   ASSERT_TRUE(
-      ExecuteSql(&db_, "UPDATE people SET age = 40 WHERE name = 'ada'").ok());
+      table_->Update(adas[0], Row{Value("ada"), Value(int64_t{40})}).ok());
   EXPECT_EQ(table_->NumRows(), 1u);
+  EXPECT_EQ(CountByAge(40), 1u);
   ASSERT_TRUE(db_.RollbackTransaction().ok());
   EXPECT_EQ(table_->NumRows(), 2u);
   EXPECT_EQ(CountByAge(36), 1u);
   EXPECT_EQ(CountByAge(25), 1u);
+  EXPECT_EQ(CountByAge(40), 0u);
 }
 
 TEST_F(TransactionTest, SequentialTransactionsIndependent) {

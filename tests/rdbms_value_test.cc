@@ -58,6 +58,7 @@ TEST(ValueTest, ToStringFormats) {
 TEST(CompareTest, NullNeverMatches) {
   EXPECT_FALSE(EvaluateCompare(Value(), CompareOp::kEq, Value()));
   EXPECT_FALSE(EvaluateCompare(Value(int64_t{1}), CompareOp::kNe, Value()));
+  EXPECT_FALSE(EvaluateCompare(Value(), CompareOp::kNe, Value(int64_t{1})));
 }
 
 TEST(CompareTest, NumericStringCoercionForOrderedOps) {
@@ -78,12 +79,10 @@ TEST(CompareTest, Contains) {
                                Value("5")));
 }
 
-TEST(CompareTest, FlipAndNegate) {
+TEST(CompareTest, FlipSwapsOperandSides) {
   EXPECT_EQ(FlipCompareOp(CompareOp::kLt), CompareOp::kGt);
   EXPECT_EQ(FlipCompareOp(CompareOp::kGe), CompareOp::kLe);
   EXPECT_EQ(FlipCompareOp(CompareOp::kEq), CompareOp::kEq);
-  EXPECT_EQ(NegateCompareOp(CompareOp::kEq), CompareOp::kNe);
-  EXPECT_EQ(NegateCompareOp(CompareOp::kLe), CompareOp::kGt);
 }
 
 class CompareOpParamTest

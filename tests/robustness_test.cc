@@ -7,7 +7,6 @@
 #include <random>
 #include <string>
 
-#include "rdbms/sql.h"
 #include "rdf/parser.h"
 #include "rdf/xml_import.h"
 #include "rules/compiler.h"
@@ -110,25 +109,6 @@ TEST_P(RobustnessTest, GenericXmlImporterNeverCrashes) {
         EXPECT_TRUE(schema.ValidateDocument(*result).ok());
       }
     }
-  }
-}
-
-TEST_P(RobustnessTest, SqlParserNeverCrashes) {
-  std::mt19937 rng(GetParam() ^ 0x3333u);
-  const std::string valid =
-      "SELECT p.host FROM providers p, locations l "
-      "WHERE p.host = l.host AND p.memory > 64 ORDER BY p.host LIMIT 5";
-  rdbms::Database db;
-  Result<rdbms::SqlResult> seeded = rdbms::ExecuteSql(
-      &db, "CREATE TABLE providers (host STRING, memory INT)");
-  ASSERT_TRUE(seeded.ok());
-  seeded = rdbms::ExecuteSql(&db, "CREATE TABLE locations (host STRING)");
-  ASSERT_TRUE(seeded.ok());
-  for (int i = 0; i < 200; ++i) {
-    std::string input =
-        i % 2 == 0 ? RandomText(&rng, 120) : Mutate(valid, &rng);
-    Result<rdbms::SqlResult> result = rdbms::ExecuteSql(&db, input);
-    (void)result;  // Error or success — just must not crash.
   }
 }
 
