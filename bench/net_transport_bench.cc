@@ -44,7 +44,7 @@ pubsub::Notification MakeNote(int tag) {
   res.AddProperty("sent_us",
                   rdf::PropertyValue::Literal(std::to_string(NowUs())));
   note.resources.push_back(
-      {"bench.rdf#r" + std::to_string(tag), std::move(res), false});
+      {"bench.rdf#r" + std::to_string(tag), std::move(res), false, {}});
   return note;
 }
 

@@ -16,10 +16,10 @@
 //
 // Crash harness (used by .github/workflows/ci.yml):
 //   replication_bench --crash-dir D --serve
-//     builds a durable MDP (D/mdp) + durable sync LMR (D/lmr) with
-//     fsync-per-append, prints SERVING, then registers documents
-//     (with an update every tenth document so version stamps advance
-//     past 1) until killed -9 mid-storm.
+//     builds a durable MDP (D/mdp) + durable LMR (D/lmr) on the
+//     default inline transport with fsync-per-append, prints SERVING,
+//     then registers documents (with an update every tenth document so
+//     version stamps advance past 1) until killed -9 mid-storm.
 //   replication_bench --crash-dir D --recover
 //     recovers both images onto an asynchronous network, audits the
 //     cache, delta-joins the revived replica, full-joins a fresh
@@ -237,10 +237,10 @@ int RunServe(const std::string& crash_dir) {
 
 int RunRecover(const std::string& crash_dir) {
   rdf::RdfSchema schema = rdf::MakeObjectGlobeSchema();
-  // Recovery runs on an asynchronous network: the byte accounting for
-  // the delta-vs-full assertion needs real transport frames. The serve
-  // phase was synchronous, so the recovered journal holds only
-  // self-journaled (sender 0) frames and no stale flow state.
+  // Recovery runs on the threaded transport; the serve phase ran on
+  // the inline one. Either way the LMR journal holds the frames the
+  // link journaled before acking, and the recovered flow state seeds
+  // the new link so the revived MDP's sender numbers on from it.
   Network network(QuietAsyncOptions());
   MetadataProvider provider(&schema, &network);
   wal::WalOptions mdp_options;

@@ -25,10 +25,6 @@ bool Contains(std::string_view haystack, std::string_view needle);
 /// Lower-cases ASCII characters.
 std::string ToLowerAscii(std::string_view s);
 
-/// Joins `parts` with `sep` between elements.
-std::string JoinStrings(const std::vector<std::string>& parts,
-                        std::string_view sep);
-
 }  // namespace mdv
 
 #endif  // MDV_COMMON_STRING_UTIL_H_

@@ -50,7 +50,10 @@ LocalMetadataRepository::LocalMetadataRepository(pubsub::LmrId id,
                                                  MetadataProvider* provider,
                                                  Network* network)
     : LocalMetadataRepository(DeferAttach{}, id, schema, provider, network) {
-  AttachToNetwork({});
+  const Status attached = AttachToNetwork({});
+  if (!attached.ok()) {
+    MDV_LOG(Error) << "attach of lmr " << id << " refused: " << attached;
+  }
 }
 
 LocalMetadataRepository::LocalMetadataRepository(DeferAttach, pubsub::LmrId id,
@@ -60,14 +63,15 @@ LocalMetadataRepository::LocalMetadataRepository(DeferAttach, pubsub::LmrId id,
     : id_(id), schema_(schema), provider_(provider), network_(network) {}
 
 LocalMetadataRepository::~LocalMetadataRepository() {
-  network_->Detach(id_);
+  // An unattached LMR must not detach the endpoint of the LMR that
+  // holds its id.
+  if (attached_) network_->Detach(id_);
 }
 
-void LocalMetadataRepository::AttachToNetwork(
+Status LocalMetadataRepository::AttachToNetwork(
     std::vector<net::FlowRestore> flows) {
   net::ReceiverDurability durability;
-  if (journal_ != nullptr && network_->asynchronous() &&
-      !journal_->options().read_only) {
+  if (journal_ != nullptr && !journal_->options().read_only) {
     // The link journals every new frame BEFORE acking it and seeds the
     // recovered dedup state, which together make delivery exactly-once
     // across receiver crashes (see net::ReceiverJournal). Snapshot-
@@ -82,10 +86,12 @@ void LocalMetadataRepository::AttachToNetwork(
     };
     durability.flows = std::move(flows);
   }
-  network_->Attach(
+  MDV_RETURN_IF_ERROR(network_->Attach(
       id_,
       [this](const pubsub::Notification& note) { ApplyNotification(note); },
-      std::move(durability));
+      std::move(durability)));
+  attached_ = true;
+  return Status::OK();
 }
 
 Result<std::unique_ptr<LocalMetadataRepository>>
@@ -122,7 +128,7 @@ LocalMetadataRepository::OpenDurable(pubsub::LmrId id,
     flow.sender = sender;
     flow_list.push_back(std::move(flow));
   }
-  lmr->AttachToNetwork(std::move(flow_list));
+  MDV_RETURN_IF_ERROR(lmr->AttachToNetwork(std::move(flow_list)));
   return lmr;
 }
 
@@ -193,16 +199,9 @@ Status LocalMetadataRepository::ReplayApplyFrame(
     return Status::Internal("journaled frame is not a notify frame");
   }
   const net::NotifyFrame& frame = decoded.notify;
-  if (frame.sender == 0) {
-    // Sync-mode self-journaled apply: sequence stamps are this LMR's
-    // own monotonic counter, already in order and duplicate-free.
-    next_local_seq_ = std::max(next_local_seq_, frame.sequence);
-    ApplyNotificationLocked(frame.notification);
-    return Status::OK();
-  }
-  // Async frame: re-run the link's dedup/hold-back decision so replay
-  // applies exactly what the handler saw — journaled duplicates are
-  // absorbed, out-of-order frames wait for their gap.
+  // Re-run the link's dedup/hold-back decision so replay applies
+  // exactly what the handler saw — journaled duplicates are absorbed,
+  // out-of-order frames wait for their gap.
   net::FlowRestore& flow = (*flows)[frame.sender];
   if (frame.sequence <= flow.applied_through ||
       flow.holdback.count(frame.sequence) != 0) {
@@ -285,7 +284,15 @@ Status LocalMetadataRepository::LoadSnapshotRecords(
         break;
       }
       case kWalLmrSnapLocalSeq:
-        next_local_seq_ = reader.ReadU64().value_or(0);
+        // Written by earlier builds. Nonzero only under their retired
+        // self-journaling protocol, whose post-checkpoint frames the
+        // flow replay would park in hold-back forever.
+        if (reader.ReadU64().value_or(0) != 0) {
+          return Status::Unsupported(
+              "LMR snapshot written by the retired synchronous-bus "
+              "journal protocol (nonzero local sequence); recover it "
+              "with the build that wrote it");
+        }
         break;
       case kWalLmrSnapVersionVector: {
         const uint32_t count = reader.ReadU32().value_or(0);
@@ -364,11 +371,6 @@ std::string LocalMetadataRepository::BuildSnapshotLocked(
       wal::PutString(payload, net::EncodeNotifyFrame(frame));
     }
     snapshot += wal::EncodeWalRecord(kWalLmrSnapFlow, payload);
-  }
-  {
-    std::string payload;
-    wal::PutU64(payload, next_local_seq_);
-    snapshot += wal::EncodeWalRecord(kWalLmrSnapLocalSeq, payload);
   }
   {
     std::string payload;
@@ -476,7 +478,7 @@ Status LocalMetadataRepository::AuditCacheInvariants() const {
 Result<pubsub::SubscriptionId> LocalMetadataRepository::Subscribe(
     std::string_view rule_text, const std::string& name) {
   // The provider is called outside mu_ (its api lock ranks outside the
-  // cache lock; synchronous seeding notifications re-enter our handler).
+  // cache lock; inline seeding notifications re-enter our handler).
   MDV_ASSIGN_OR_RETURN(pubsub::SubscriptionId id,
                        provider_->Subscribe(id_, rule_text, name));
   MutexLock lock(mu_);
@@ -545,8 +547,9 @@ Status LocalMetadataRepository::JoinReplica(const JoinOptions& options) {
       state->started_ns = obs::NowNs();
       join_ = std::move(state);
     }
-    // Sent without holding mu_: synchronous networks serve inline, and
-    // the chunk deliveries re-enter our handler.
+    // Sent without holding mu_: the inline transport serves before
+    // RequestSnapshot returns, and the chunk deliveries re-enter our
+    // handler.
     const Status sent =
         network_->RequestSnapshot(provider_->sender_id(), request);
     bool completed = false;
@@ -676,28 +679,6 @@ void LocalMetadataRepository::ApplyNotificationLocked(
   if (pubsub::IsSnapshotKind(note.kind)) {
     HandleSnapshotNotificationLocked(note);
     return;
-  }
-  if (journal_ != nullptr && !replaying_ && !suppress_apply_journal_ &&
-      !network_->asynchronous() && !journal_->options().read_only) {
-    // Synchronous delivery has no link-side journal hook, so the LMR
-    // journals each apply itself, self-framed on the reserved sender 0
-    // flow with its own sequence stamps. Journal-before-mutate: a crash
-    // right after the append replays this very apply. Notifications
-    // buffered during a join are journaled here, at arrival — the
-    // deferred replay suppresses re-journaling.
-    net::NotifyFrame frame;
-    frame.sender = 0;
-    frame.sequence = ++next_local_seq_;
-    frame.notification = note;
-    const Status journaled =
-        journal_->Append(kWalLmrApply, net::EncodeNotifyFrame(frame));
-    if (!journaled.ok()) {
-      // The void apply path cannot refuse delivery; surface the gap
-      // loudly — a Refresh()+Checkpoint() repairs it.
-      MDV_LOG(Warning) << "lmr " << id_
-                       << ": journal append failed, apply not persisted: "
-                       << journaled.ToString();
-    }
   }
   if (join_ != nullptr) {
     // Mid-join: hold the live stream back; it replays (in order) over
@@ -845,10 +826,12 @@ void LocalMetadataRepository::FinalizeJoinLocked() {
   // 4. Replay the buffered live suffix in arrival order; LWW absorbs
   // whatever the snapshot already covered, flag operations re-apply
   // idempotently.
-  std::vector<pubsub::Notification> buffered = std::move(join.buffered);
+  const std::vector<pubsub::Notification> buffered = std::move(join.buffered);
   const uint64_t request_id = join.request_id;
   join_.reset();
-  ReplayBufferedLocked(std::move(buffered));
+  for (const pubsub::Notification& note : buffered) {
+    ApplyNotificationLocked(note);
+  }
   last_completed_request_id_ = request_id;
   ++joins_completed_;
   join_cv_.NotifyAll();
@@ -856,21 +839,13 @@ void LocalMetadataRepository::FinalizeJoinLocked() {
 
 void LocalMetadataRepository::AbandonJoinLocked() {
   if (join_ == nullptr) return;
-  std::vector<pubsub::Notification> buffered = std::move(join_->buffered);
+  const std::vector<pubsub::Notification> buffered = std::move(join_->buffered);
   join_.reset();
   // Nothing staged is lost — it was never applied — but the buffered
   // live stream must land or the replica silently drops updates.
-  ReplayBufferedLocked(std::move(buffered));
-}
-
-void LocalMetadataRepository::ReplayBufferedLocked(
-    std::vector<pubsub::Notification> notes) {
-  const bool previous = suppress_apply_journal_;
-  suppress_apply_journal_ = true;  // Journaled when they arrived.
-  for (const pubsub::Notification& note : notes) {
+  for (const pubsub::Notification& note : buffered) {
     ApplyNotificationLocked(note);
   }
-  suppress_apply_journal_ = previous;
 }
 
 void LocalMetadataRepository::RecountStrongReferrers() {

@@ -84,7 +84,7 @@ struct JoinOptions {
 /// metadata only (no communication across the Internet).
 ///
 /// Thread-safe: one internal mutex (rank kLmrCache, inside the MDP API
-/// lock — synchronous networks deliver while holding it — and outside
+/// lock — the inline transport delivers while holding it — and outside
 /// the network bus/link locks and the WAL journal) serializes the cache
 /// against concurrent notification delivery, joins and queries. The
 /// mutex is never held across calls back into the provider or the
@@ -92,7 +92,9 @@ struct JoinOptions {
 class LocalMetadataRepository {
  public:
   /// Attaches to `provider` via `network`. Ids must be unique per
-  /// network. All pointers must outlive the LMR.
+  /// network: a refused attach is logged and leaves this LMR unbound
+  /// (OpenDurable reports it instead). All pointers must outlive the
+  /// LMR.
   LocalMetadataRepository(pubsub::LmrId id, const rdf::RdfSchema* schema,
                           MetadataProvider* provider, Network* network);
   ~LocalMetadataRepository();
@@ -104,13 +106,13 @@ class LocalMetadataRepository {
   /// the LMR attaches to the network, and the recovered flow state is
   /// handed to the reliable link so retransmits of already-applied
   /// notifications are absorbed instead of re-applied (exactly-once
-  /// across the crash). In asynchronous mode every arriving frame is
-  /// journaled pre-ack by the link; in synchronous mode the LMR
-  /// self-journals each apply. Snapshot-stream frames (replica joins)
-  /// are never journaled — a join interrupted by a crash is abandoned
-  /// and re-run, not replayed. `provider` may be null for offline
-  /// inspection (mdv_fsck) — subscription calls, JoinReplica() and
-  /// Refresh() are then off-limits.
+  /// across the crash). Every arriving frame is journaled pre-ack by
+  /// the link. Snapshot-stream frames (replica joins) are never
+  /// journaled — a join interrupted by a crash is abandoned and re-run,
+  /// not replayed. AlreadyExists if `id` is attached to `network`
+  /// already. `provider` may be null for offline inspection (mdv_fsck)
+  /// — subscription calls, JoinReplica() and Refresh() are then
+  /// off-limits.
   static Result<std::unique_ptr<LocalMetadataRepository>> OpenDurable(
       pubsub::LmrId id, const rdf::RdfSchema* schema,
       MetadataProvider* provider, Network* network,
@@ -233,7 +235,7 @@ class LocalMetadataRepository {
 
   /// Compacts the journal: serializes the cache, subscriptions, version
   /// vector and the link's flow state into a snapshot and prunes the
-  /// replayed log. Quiesce first in asynchronous mode
+  /// replayed log. Quiesce first on an asynchronous network
   /// (Network::WaitQuiescent) — the flow state copied here must not
   /// race in-flight frames.
   Status Checkpoint() EXCLUDES(mu_);
@@ -274,7 +276,7 @@ class LocalMetadataRepository {
 
   /// Binds the notification handler, wiring the journal hook and the
   /// recovered flow state when durable.
-  void AttachToNetwork(std::vector<net::FlowRestore> flows);
+  Status AttachToNetwork(std::vector<net::FlowRestore> flows);
 
   /// Rebuilds state from Open()'s RecoveryInfo: snapshot records, then
   /// the log suffix. Fills `flows` with the dedup state to seed the
@@ -329,10 +331,6 @@ class LocalMetadataRepository {
   /// Drops the in-flight join (timeout), replaying buffered live
   /// notifications so nothing is lost.
   void AbandonJoinLocked() REQUIRES(mu_);
-  /// Applies buffered notifications without re-journaling them (they
-  /// were journaled when they arrived).
-  void ReplayBufferedLocked(std::vector<pubsub::Notification> notes)
-      REQUIRES(mu_);
 
   /// Removes entries with no matches, no strong referrers and no local
   /// flag, cascading reference-count decrements (the reference-counting
@@ -344,7 +342,7 @@ class LocalMetadataRepository {
   MetadataProvider* provider_;
   Network* network_;
   /// Serializes cache state against concurrent delivery and joins.
-  /// Rank: inside kMdpApi (synchronous delivery happens under the MDP
+  /// Rank: inside kMdpApi (inline delivery happens under the MDP
   /// lock), outside the network bus/link locks and the WAL journal
   /// (Checkpoint copies flow state and appends while holding it).
   /// Never held across calls into the provider or RequestSnapshot.
@@ -366,14 +364,12 @@ class LocalMetadataRepository {
   /// Null for a volatile LMR. The journal is internally thread-safe;
   /// the pointer is set before the LMR attaches and stable afterwards.
   std::unique_ptr<wal::Journal> journal_;
-  /// True while OpenDurable re-applies the recovered log: applies and
-  /// subscription changes then skip journaling.
+  /// True while OpenDurable re-applies the recovered log: subscription
+  /// changes then skip journaling.
   bool replaying_ GUARDED_BY(mu_) = false;
-  /// True while join finalize/abandon replays buffered notifications:
-  /// those were journaled on arrival and must not be journaled twice.
-  bool suppress_apply_journal_ GUARDED_BY(mu_) = false;
-  /// Sequence stamp for sync-mode self-journaled applies (sender 0).
-  uint64_t next_local_seq_ GUARDED_BY(mu_) = 0;
+  /// Whether the network accepted this LMR's endpoint; set once, before
+  /// any delivery, and read again only by the destructor.
+  bool attached_ = false;
 };
 
 }  // namespace mdv

@@ -1017,6 +1017,9 @@ Status MetadataProvider::ServeSnapshot(
   done.manifest = std::move(manifest);
   done.trace = span.context();
   network_->Deliver(done, snapshot_sender);
+  // Each serve registered a sender (an ack endpoint, a worker thread on
+  // the threaded transport); hand it back once its frames are acked.
+  network_->RetireSender(snapshot_sender);
 
   span.AddAttribute("resources", resources_shipped);
   span.AddAttribute("skipped", cursor_skipped);

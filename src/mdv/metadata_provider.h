@@ -267,8 +267,9 @@ class MetadataProvider {
   filter::EngineOptions engine_options_;
   /// Serializes the local work of every public entry point — the
   /// outermost rank of the whole hierarchy: it is held across filter
-  /// runs and across network_->DeliverAll (which takes the bus or
-  /// link/transport locks underneath). Released before peer forwarding
+  /// runs and across network_->DeliverAll (which takes the bus, link
+  /// and transport locks underneath, and on the inline transport runs
+  /// the receiving LMRs' handlers). Released before peer forwarding
   /// (peers lock their own api_mu_; two mutually-peered MDPs holding
   /// theirs while forwarding would deadlock).
   mutable Mutex api_mu_{LockRank::kMdpApi, "mdv.mdp.api"};

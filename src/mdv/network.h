@@ -3,9 +3,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -13,6 +12,7 @@
 #include "common/thread_annotations.h"
 #include "net/reliable.h"
 #include "net/transport.h"
+#include "net/wire.h"
 #include "pubsub/notification.h"
 
 namespace mdv {
@@ -26,32 +26,30 @@ struct NetworkStats {
 
 /// How the network moves notifications.
 struct NetworkOptions {
-  /// false (default): synchronous in-process delivery, deterministic —
-  /// Deliver() invokes the LMR handler before returning. true: frames
-  /// cross the asynchronous src/net transport (wire codec, bounded
-  /// queues, at-least-once redelivery); call WaitQuiescent() before
-  /// reading LMR state.
+  /// Which transport carries the frames. false (default): the inline
+  /// transport — lossless, delivered on the sending thread, so
+  /// Deliver() returns after the LMR handler ran (deterministic). true:
+  /// the threaded in-process transport — bounded queues on worker
+  /// threads, optional latency and injected faults; call
+  /// WaitQuiescent() before reading LMR state. Either way every
+  /// notification is encoded by the wire codec and crosses the reliable
+  /// link (sequence numbers, acks, redelivery, dedup).
   bool asynchronous = false;
   net::TransportOptions transport;
   net::ReliableOptions reliability;
 };
 
-/// In-process stand-in for the Internet between MDPs and LMRs. Paper
-/// deployments ship notifications over the network; this adapter offers
-/// both fidelity levels (see DESIGN.md, Transport):
-///
-///  - synchronous mode (default): delivery is a direct callback per
-///    LMR, exercising the identical publish/notify code paths
-///    deterministically;
-///  - asynchronous mode: every notification is encoded by the net wire
-///    codec and shipped through bounded per-endpoint queues on worker
-///    threads with at-least-once redelivery and sequence-number dedup,
-///    optionally under injected loss/duplication/reordering/latency.
+/// In-process stand-in for the Internet between MDPs and LMRs: one
+/// net::Transport under one net::ReliableLink (see DESIGN.md,
+/// Transport). Paper deployments ship notifications over the network;
+/// here every notification takes that path — encoded into a notify
+/// frame, stamped in its (sender, LMR) flow, acked, deduplicated and
+/// released in publish order — whichever transport carries the frames.
 ///
 /// Thread-safe: Attach/Detach/Deliver/stats may be called concurrently
 /// (multiple MDPs publishing from different threads share one network).
-/// Handlers are invoked outside the lock, so a handler may re-enter the
-/// network (e.g. attach another LMR). Detach linearizes against
+/// Handlers run with no network lock held, so a handler may re-enter
+/// the network (e.g. attach another LMR). Detach linearizes against
 /// in-flight delivery: once it returns, the detached handler is not
 /// running and will never run again — except when a handler detaches
 /// itself, where the guarantee holds from the handler's return.
@@ -65,27 +63,29 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  bool asynchronous() const { return async_ != nullptr; }
-
   /// Allocates a sender identity for one publishing MDP. Sequence
   /// numbers of the at-least-once protocol are per (sender, LMR) flow,
-  /// so every MDP sharing a network must register itself. Synchronous
-  /// networks hand out ids with no further effect.
-  uint64_t RegisterSender() EXCLUDES(mutex_);
+  /// so every MDP sharing a network must register itself.
+  uint64_t RegisterSender() { return link_.RegisterSender(); }
+
+  /// Releases a sender once its frames are acked (see
+  /// net::ReliableLink::RetireSender).
+  void RetireSender(uint64_t sender) { link_.RetireSender(sender); }
 
   /// Registers the delivery endpoint of an LMR. `durability` journals
-  /// frames pre-ack and seeds crash-time flow state in asynchronous
-  /// mode (see net::ReceiverDurability); synchronous delivery has no
-  /// acks or retransmits, so it is ignored there (the LMR journals its
-  /// applies itself).
-  void Attach(pubsub::LmrId lmr, Handler handler,
-              net::ReceiverDurability durability = {}) EXCLUDES(mutex_);
-  void Detach(pubsub::LmrId lmr) EXCLUDES(mutex_);
+  /// frames pre-ack and seeds crash-time flow state (see
+  /// net::ReceiverDurability). AlreadyExists, with the bound LMR left
+  /// intact, if `lmr` is already attached; InvalidArgument for a
+  /// negative id.
+  Status Attach(pubsub::LmrId lmr, Handler handler,
+                net::ReceiverDurability durability = {});
+  void Detach(pubsub::LmrId lmr) { link_.UnbindReceiver(lmr); }
 
   /// The at-least-once flow state of `lmr` for checkpointing — quiesce
-  /// first (WaitQuiescent). Empty in synchronous mode, which has no
-  /// flow state to persist.
-  std::vector<net::FlowRestore> ReceiverFlowState(pubsub::LmrId lmr) const;
+  /// first (WaitQuiescent).
+  std::vector<net::FlowRestore> ReceiverFlowState(pubsub::LmrId lmr) const {
+    return link_.ReceiverFlowState(lmr);
+  }
 
   /// Delivers one notification to its LMR; counts it as undeliverable
   /// if no endpoint is attached. `sender` identifies the publishing MDP
@@ -98,11 +98,13 @@ class Network {
   void DeliverAll(const std::vector<pubsub::Notification>& notifications,
                   uint64_t sender = 0) EXCLUDES(mutex_);
 
-  /// Blocks until every asynchronous delivery settled (acked or
-  /// dead-lettered, queues drained, no handler running). Synchronous
-  /// networks are always quiescent. After a true return, LMR caches
-  /// fed by this network are safe to read from the calling thread.
-  bool WaitQuiescent(int64_t timeout_us = 30'000'000);
+  /// Blocks until every delivery settled (acked or dead-lettered,
+  /// queues drained, no handler running). After a true return, LMR
+  /// caches fed by this network are safe to read from the calling
+  /// thread.
+  bool WaitQuiescent(int64_t timeout_us = 30'000'000) {
+    return link_.WaitSettled(timeout_us);
+  }
 
   /// Snapshot of the counters (by value — the live struct is guarded).
   NetworkStats stats() const EXCLUDES(mutex_) {
@@ -114,73 +116,44 @@ class Network {
     stats_ = NetworkStats{};
   }
 
-  /// Delivery-protocol counters (asynchronous mode; zeros otherwise).
-  net::LinkStats link_stats() const;
-  /// Transport counters (asynchronous mode; zeros otherwise).
-  net::TransportStats transport_stats() const;
+  /// Delivery-protocol counters.
+  net::LinkStats link_stats() const { return link_.stats(); }
+  /// Transport counters.
+  net::TransportStats transport_stats() const { return transport_->stats(); }
 
-  /// Deterministic per-frame fault schedule for tests (asynchronous
-  /// mode only; no-op otherwise). See net::FaultInjector.
-  void set_fault_schedule(net::FaultInjector::Schedule schedule);
+  /// Deterministic per-frame fault schedule for tests (see
+  /// net::FaultInjector); the lossless inline transport ignores it.
+  void set_fault_schedule(net::FaultInjector::Schedule schedule) {
+    transport_->set_fault_schedule(std::move(schedule));
+  }
 
   /// Handler for snapshot requests addressed to one sender (MDP). Runs
-  /// on a transport worker in asynchronous mode, inline inside
-  /// RequestSnapshot in synchronous mode; either way no network lock is
-  /// held, so the server may publish chunks back through Deliver.
+  /// with no network lock held, so the server may publish chunks back
+  /// through Deliver.
   using SnapshotServer = std::function<void(const net::SnapshotRequestFrame&)>;
 
   /// Binds `sender`'s snapshot control endpoint (replica join protocol).
-  Status BindSnapshotServer(uint64_t sender, SnapshotServer server)
-      EXCLUDES(mutex_);
-  void UnbindSnapshotServer(uint64_t sender) EXCLUDES(mutex_);
+  Status BindSnapshotServer(uint64_t sender, SnapshotServer server);
+  void UnbindSnapshotServer(uint64_t sender) {
+    transport_->Unbind(net::SnapshotControlEndpoint(sender));
+  }
 
   /// Sends one snapshot request to the control endpoint of
-  /// `provider_sender`. Asynchronous mode ships it as a wire frame with
-  /// no delivery guarantee — the joining LMR retries on timeout;
-  /// synchronous mode serves inline before returning.
+  /// `provider_sender` as a wire frame with no delivery guarantee — the
+  /// joining LMR retries on timeout. NotFound if no server is bound.
   Status RequestSnapshot(uint64_t provider_sender,
-                         const net::SnapshotRequestFrame& request)
-      EXCLUDES(mutex_);
+                         const net::SnapshotRequestFrame& request) {
+    return transport_->Send(net::SnapshotControlEndpoint(provider_sender),
+                            net::EncodeSnapshotRequestFrame(request));
+  }
 
  private:
-  /// One synchronous endpoint: its handler plus the threads currently
-  /// delivering to it, so Detach can wait out in-flight deliveries.
-  struct Endpoint {
-    Handler handler;
-    /// Guarded by the owning Network's mutex_ (inexpressible as a
-    /// GUARDED_BY, which cannot name another object's capability from
-    /// a nested struct): threads currently inside this handler, so
-    /// Detach can wait out in-flight deliveries.
-    std::vector<std::thread::id> delivering;
-  };
-
-  struct Async {
-    explicit Async(const NetworkOptions& options)
-        : transport(options.transport), link(&transport, options.reliability) {}
-    net::InProcessTransport transport;
-    net::ReliableLink link;
-  };
-
-  void DeliverSync(const pubsub::Notification& notification)
-      EXCLUDES(mutex_);
-  void DeliverAsync(const pubsub::Notification& notification, uint64_t sender)
-      EXCLUDES(mutex_);
-
-  /// Held only around registry/counter updates — every handler runs
-  /// outside it. MDP entry points (kMdpApi) deliver while holding their
-  /// api lock, so the bus ranks just inside it.
+  /// Held only around counter updates. MDP entry points (kMdpApi)
+  /// deliver while holding their api lock, so it ranks just inside it.
   mutable Mutex mutex_{LockRank::kNetworkBus, "mdv.network"};
-  CondVar detach_cv_;
-  std::map<pubsub::LmrId, std::shared_ptr<Endpoint>> handlers_
-      GUARDED_BY(mutex_);
   NetworkStats stats_ GUARDED_BY(mutex_);
-  uint64_t next_sync_sender_ GUARDED_BY(mutex_) = 1;
-  /// Synchronous-mode registry of snapshot servers (async mode binds
-  /// them as transport control endpoints instead). shared_ptr so
-  /// RequestSnapshot can invoke outside the lock.
-  std::map<uint64_t, std::shared_ptr<SnapshotServer>> snapshot_servers_
-      GUARDED_BY(mutex_);
-  std::unique_ptr<Async> async_;  // Null in synchronous mode.
+  std::unique_ptr<net::Transport> transport_;
+  net::ReliableLink link_;  // Declared after transport_: destroyed first.
 };
 
 }  // namespace mdv

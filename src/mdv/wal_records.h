@@ -33,8 +33,8 @@ inline constexpr uint8_t kWalMdpUnsubscribe = 6;
 inline constexpr uint8_t kWalMdpAddPeer = 11;
 
 // ---- LMR journal (manifest kind "lmr") ------------------------------
-/// Raw net wire notify-frame bytes, exactly as received (async mode)
-/// or self-framed with sender 0 and a local sequence (sync mode).
+/// Raw net wire notify-frame bytes, exactly as received (journaled by
+/// the reliable link before it acks the frame).
 inline constexpr uint8_t kWalLmrApply = 7;
 /// i64 subscription id (obtained from the MDP).
 inline constexpr uint8_t kWalLmrSubscribe = 8;
@@ -57,7 +57,8 @@ inline constexpr uint8_t kWalLmrSnapCacheEntry = 21;
 /// One at-least-once flow: u64 sender, u64 applied_through,
 /// u32 n_holdback, per entry: u64 sequence, notify-frame string.
 inline constexpr uint8_t kWalLmrSnapFlow = 22;
-/// u64 next local (sync-mode self-journaling) sequence number.
+/// u64 local sequence of a retired self-journaling protocol; no longer
+/// written. Replay accepts 0 and refuses any other value.
 inline constexpr uint8_t kWalLmrSnapLocalSeq = 23;
 /// The replica's version vector: u32 count, per origin u64 origin id,
 /// u64 high-water sequence. Invariant (checked by mdv_fsck): for every

@@ -1,6 +1,7 @@
 #include "net/reliable.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -62,15 +63,16 @@ ReliableLink::~ReliableLink() {
   {
     MutexLock lock(mu_);
     for (const auto& [lmr, receiver] : receivers_) endpoints.push_back(lmr);
-    for (const auto& [sender, bound] : senders_) {
+    for (const auto& [sender, retiring] : senders_) {
       endpoints.push_back(AckEndpoint(sender));
     }
+    for (uint64_t sender : released_) endpoints.push_back(AckEndpoint(sender));
   }
   for (EndpointId endpoint : endpoints) transport_->Unbind(endpoint);
 }
 
 void ReliableLink::EnsureSenderLocked(uint64_t sender) {
-  auto [it, inserted] = senders_.emplace(sender, true);
+  auto [it, inserted] = senders_.emplace(sender, false);
   if (!inserted) return;
   next_sender_ = std::max(next_sender_, sender + 1);
   // Bind may fail only if the ack endpoint id collides with a bound
@@ -93,7 +95,7 @@ Status ReliableLink::BindReceiver(pubsub::LmrId lmr,
                                   ReceiverDurability durability) {
   if (lmr < 0) {
     return Status::InvalidArgument(
-        "asynchronous delivery requires non-negative LMR ids, got " +
+        "delivery requires non-negative LMR ids, got " +
         std::to_string(lmr));
   }
   // Install the receiver state — handler, journal, restored flows —
@@ -114,6 +116,15 @@ Status ReliableLink::BindReceiver(pubsub::LmrId lmr,
     receiver.handler = std::move(handler);
     receiver.journal = std::move(durability.journal);
     receiver.flows.clear();
+    if (!receiver.journal) {
+      // A volatile receiver starts where its senders are: a frame
+      // stamped before this bind was addressed to an earlier receiver
+      // of the id and is lost with it, so it dedups away instead of
+      // parking the flow's next frame in hold-back for good.
+      for (const auto& [key, next] : next_seq_) {
+        if (key.lmr == lmr) receiver.flows[key.sender].applied_through = next;
+      }
+    }
     for (FlowRestore& restore : durability.flows) {
       Flow& flow = receiver.flows[restore.sender];
       flow.applied_through = restore.applied_through;
@@ -154,6 +165,7 @@ void ReliableLink::UnbindReceiver(pubsub::LmrId lmr) {
   // state can go.
   transport_->Unbind(lmr);
   int64_t forgotten = 0;
+  int64_t dropped = 0;
   {
     MutexLock lock(mu_);
     auto it = receivers_.find(lmr);
@@ -161,9 +173,50 @@ void ReliableLink::UnbindReceiver(pubsub::LmrId lmr) {
     for (const auto& [sender, flow] : it->second.flows) {
       forgotten += static_cast<int64_t>(flow.holdback.size());
     }
+    const bool volatile_receiver = !it->second.journal;
     receivers_.erase(it);
+    if (volatile_receiver) {
+      std::vector<uint64_t> senders;
+      for (auto& [key, seqs] : pending_) {
+        if (key.lmr != lmr || seqs.empty()) continue;
+        dropped += static_cast<int64_t>(seqs.size());
+        seqs.clear();
+        senders.push_back(key.sender);
+      }
+      pending_count_ -= static_cast<size_t>(dropped);
+      if (pending_count_ == 0) settled_cv_.NotifyAll();
+      for (uint64_t sender : senders) ReleaseIfDrainedLocked(sender);
+    }
   }
   LinkMetrics::Get().holdback_depth.Add(-forgotten);
+  LinkMetrics::Get().unacked_depth.Add(-dropped);
+}
+
+void ReliableLink::RetireSender(uint64_t sender) {
+  MutexLock lock(mu_);
+  auto it = senders_.find(sender);
+  if (it == senders_.end()) return;
+  it->second = true;
+  ReleaseIfDrainedLocked(sender);  // Else the last ack or dead letter does.
+}
+
+void ReliableLink::ReleaseIfDrainedLocked(uint64_t sender) {
+  auto it = senders_.find(sender);
+  if (it == senders_.end() || !it->second) return;
+  const FlowKey first{sender, std::numeric_limits<pubsub::LmrId>::min()};
+  const FlowKey next{sender + 1, first.lmr};
+  const auto begin = pending_.lower_bound(first);
+  const auto end = pending_.lower_bound(next);
+  if (std::any_of(begin, end, [](const auto& flow) {
+        return !flow.second.empty();
+      })) {
+    return;
+  }
+  pending_.erase(begin, end);
+  next_seq_.erase(next_seq_.lower_bound(first), next_seq_.lower_bound(next));
+  senders_.erase(it);
+  released_.push_back(sender);
+  scan_cv_.NotifyAll();
 }
 
 Status ReliableLink::Publish(uint64_t sender, const pubsub::Notification& note) {
@@ -334,6 +387,7 @@ void ReliableLink::OnAckFrame(std::string frame) {
         ++stats_.acked;
         cleared = true;
         if (pending_count_ == 0) settled_cv_.NotifyAll();
+        ReleaseIfDrainedLocked(ack.sender);
       }
     }
   }
@@ -350,8 +404,21 @@ void ReliableLink::RetransmitLoop() {
   LinkMetrics& metrics = LinkMetrics::Get();
   mu_.Lock();
   while (!stop_) {
+    if (!released_.empty()) {
+      // Unbinding joins the ack endpoint's worker thread, which the
+      // ack handler that released the sender runs on — so the unbind
+      // happens here, outside every handler.
+      std::vector<uint64_t> released;
+      released.swap(released_);
+      mu_.Unlock();
+      for (uint64_t sender : released) transport_->Unbind(AckEndpoint(sender));
+      mu_.Lock();
+      continue;
+    }
     if (pending_count_ == 0) {
-      while (!stop_ && pending_count_ == 0) scan_cv_.Wait(mu_);
+      while (!stop_ && pending_count_ == 0 && released_.empty()) {
+        scan_cv_.Wait(mu_);
+      }
       continue;
     }
     scan_cv_.WaitFor(mu_, options_.scan_interval_us);
@@ -400,6 +467,9 @@ void ReliableLink::RetransmitLoop() {
                                  pending.trace, it->first, pending.attempts});
         ++it;
       }
+    }
+    for (const DeadLetter& dead : dead_letters) {
+      ReleaseIfDrainedLocked(dead.sender);
     }
     const bool settled = pending_count_ == 0;
     mu_.Unlock();

@@ -115,18 +115,30 @@ class ReliableLink {
   /// Allocates a sender id (one per MDP) and binds its ack endpoint.
   uint64_t RegisterSender() EXCLUDES(mu_);
 
-  /// Binds the notification handler of an LMR. The handler runs on the
-  /// transport's endpoint thread, serially per LMR. `durability`
-  /// optionally journals every new frame pre-ack and seeds the flow
-  /// state a previous incarnation persisted (see ReceiverDurability).
+  /// Binds the notification handler of an LMR. The handler runs where
+  /// the transport runs the endpoint's frames, serially per LMR.
+  /// `durability` optionally journals every new frame pre-ack and seeds
+  /// the flow state a previous incarnation persisted (see
+  /// ReceiverDurability).
   /// AlreadyExists, with the bound receiver left intact, if `lmr` is
   /// already bound.
   Status BindReceiver(pubsub::LmrId lmr, NotificationHandler handler,
                       ReceiverDurability durability = {}) EXCLUDES(mu_);
 
   /// Unbinds an LMR; linearizes against in-flight handler runs (see
-  /// Transport::Unbind) and forgets its flow state.
+  /// Transport::Unbind) and forgets its flow state. For a volatile
+  /// receiver (no journal) the senders also drop their unacked frames
+  /// to it: like any frame to a detached LMR they are lost, not
+  /// retransmitted to a dead endpoint. A durable receiver's frames stay
+  /// pending for its restart.
   void UnbindReceiver(pubsub::LmrId lmr) EXCLUDES(mu_);
+
+  /// Releases `sender` once every frame it published is acked or
+  /// dead-lettered: erases its sequence and pending state and unbinds
+  /// its ack endpoint (on the retransmit thread, shortly after). For
+  /// short-lived senders (one per snapshot serve); the sender must not
+  /// publish after this call.
+  void RetireSender(uint64_t sender) EXCLUDES(mu_);
 
   /// Stamps, encodes and sends `note` to `note.lmr`, tracking it for
   /// redelivery until acked. NotFound if no receiver is bound. Senders
@@ -195,6 +207,9 @@ class ReliableLink {
   };
 
   void EnsureSenderLocked(uint64_t sender) REQUIRES(mu_);
+  /// If `sender` is retiring and has nothing pending, erases its state
+  /// and queues its ack endpoint for the retransmit thread to unbind.
+  void ReleaseIfDrainedLocked(uint64_t sender) REQUIRES(mu_);
   void OnReceiverFrame(pubsub::LmrId lmr, std::string frame) EXCLUDES(mu_);
   void OnAckFrame(std::string frame) EXCLUDES(mu_);
   void RetransmitLoop() EXCLUDES(mu_);
@@ -209,7 +224,9 @@ class ReliableLink {
   CondVar scan_cv_;
   bool stop_ GUARDED_BY(mu_) = false;
   uint64_t next_sender_ GUARDED_BY(mu_) = 1;
-  std::map<uint64_t, bool> senders_ GUARDED_BY(mu_);
+  std::map<uint64_t, bool> senders_ GUARDED_BY(mu_);  // Value: retiring.
+  /// Released senders whose ack endpoints await unbinding.
+  std::vector<uint64_t> released_ GUARDED_BY(mu_);
   std::map<FlowKey, uint64_t> next_seq_ GUARDED_BY(mu_);
   std::map<FlowKey, std::map<uint64_t, Pending>> pending_ GUARDED_BY(mu_);
   size_t pending_count_ GUARDED_BY(mu_) = 0;

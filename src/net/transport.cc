@@ -241,4 +241,100 @@ int64_t InProcessTransport::QueueDepth() const {
   return active_.load(std::memory_order_relaxed);
 }
 
+Status InlineTransport::Bind(EndpointId endpoint, FrameHandler handler) {
+  MutexLock lock(mu_);
+  if (endpoints_.count(endpoint) != 0) {
+    return Status::AlreadyExists("transport endpoint " +
+                                 std::to_string(endpoint) + " already bound");
+  }
+  endpoints_.emplace(endpoint, std::make_shared<Endpoint>(std::move(handler)));
+  return Status::OK();
+}
+
+void InlineTransport::Unbind(EndpointId endpoint) {
+  MutexLock lock(mu_);
+  auto it = endpoints_.find(endpoint);
+  if (it == endpoints_.end()) return;
+  std::shared_ptr<Endpoint> state = std::move(it->second);
+  endpoints_.erase(it);
+  state->unbound = true;
+  active_ -= static_cast<int64_t>(state->queue.size());
+  state->queue.clear();
+  // Wait out a handler running on another thread. A thread unbinding
+  // an endpoint it is itself delivering to (a handler unbinding its own
+  // endpoint, possibly a few inline sends deep) cannot wait for itself;
+  // its drain stops as soon as that handler returns.
+  const std::thread::id self = std::this_thread::get_id();
+  while (state->busy && state->deliverer != self) drained_cv_.Wait(mu_);
+}
+
+bool InlineTransport::IsBound(EndpointId endpoint) const {
+  MutexLock lock(mu_);
+  return endpoints_.count(endpoint) != 0;
+}
+
+Status InlineTransport::Send(EndpointId to, std::string frame) {
+  TransportMetrics& metrics = TransportMetrics::Get();
+  std::shared_ptr<Endpoint> state;
+  {
+    MutexLock lock(mu_);
+    auto it = endpoints_.find(to);
+    if (it == endpoints_.end()) {
+      ++stats_.dropped_unbound;
+      metrics.dropped.Increment();
+      return Status::NotFound("transport endpoint " + std::to_string(to) +
+                              " not bound");
+    }
+    ++stats_.sent;
+    stats_.bytes_sent += static_cast<int64_t>(frame.size());
+    ++active_;
+    it->second->queue.push_back(std::move(frame));
+    if (!it->second->busy) {
+      state = it->second;
+      state->busy = true;
+      state->deliverer = std::this_thread::get_id();
+    }
+  }
+  metrics.sent.Increment();
+  // Busy endpoint: the thread delivering to it runs this frame next.
+  if (state != nullptr) Drain(state);
+  return Status::OK();
+}
+
+void InlineTransport::Drain(const std::shared_ptr<Endpoint>& state) {
+  TransportMetrics& metrics = TransportMetrics::Get();
+  mu_.Lock();
+  while (!state->unbound && !state->queue.empty()) {
+    std::string frame = std::move(state->queue.front());
+    state->queue.pop_front();
+    const int64_t frame_bytes = static_cast<int64_t>(frame.size());
+    mu_.Unlock();
+    state->handler(std::move(frame));
+    metrics.delivered.Increment();
+    mu_.Lock();
+    ++stats_.delivered;
+    stats_.bytes_delivered += frame_bytes;
+    --active_;
+  }
+  state->busy = false;
+  drained_cv_.NotifyAll();
+  mu_.Unlock();
+}
+
+bool InlineTransport::WaitIdle(int64_t timeout_us) {
+  const int64_t deadline = NowUs() + timeout_us;
+  MutexLock lock(mu_);
+  while (active_ != 0) {
+    const int64_t remaining = deadline - NowUs();
+    if (remaining <= 0) return false;
+    drained_cv_.WaitFor(mu_, remaining);
+  }
+  return true;
+}
+
+TransportStats InlineTransport::stats() const {
+  MutexLock lock(mu_);
+  return stats_;
+}
+
 }  // namespace mdv::net

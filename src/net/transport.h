@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -47,16 +48,16 @@ struct TransportStats {
 
 /// Abstraction of the wire between MDPs and LMRs. Implementations move
 /// opaque frames (produced by the wire codec) from Send() calls to the
-/// handler bound at the destination endpoint. Delivery is asynchronous
-/// and unreliable unless documented otherwise: frames may be dropped,
+/// handler bound at the destination endpoint. Delivery may be
+/// unreliable unless documented otherwise: frames may be dropped,
 /// duplicated, reordered or delayed. Reliability is layered on top (see
 /// reliable.h), mirroring how MDV's paper deployment would sit on UDP-
 /// or TCP-connected hosts "over the Internet".
 class Transport {
  public:
-  /// Receives one raw frame. Runs on a transport-owned thread; handlers
-  /// for one endpoint are invoked serially (actor-style), handlers of
-  /// different endpoints concurrently.
+  /// Receives one raw frame. Handlers for one endpoint are invoked
+  /// serially (actor-style), handlers of different endpoints
+  /// concurrently; which thread runs them is up to the implementation.
   using FrameHandler = std::function<void(std::string frame)>;
 
   virtual ~Transport() = default;
@@ -73,10 +74,10 @@ class Transport {
 
   virtual bool IsBound(EndpointId endpoint) const = 0;
 
-  /// Queues one frame for asynchronous delivery. NotFound if the
-  /// endpoint is unbound, ResourceExhausted if its queue is full; OK
-  /// even when the fault injector decided to lose the frame (the sender
-  /// cannot tell — that is the point).
+  /// Hands one frame to the endpoint. NotFound if the endpoint is
+  /// unbound, ResourceExhausted if its queue is full; OK even when the
+  /// fault injector decided to lose the frame (the sender cannot tell —
+  /// that is the point).
   virtual Status Send(EndpointId to, std::string frame) = 0;
 
   /// Blocks until no frame is queued or being handled anywhere, or the
@@ -84,6 +85,63 @@ class Transport {
   /// completed handler, so a caller observing true may read handler-
   /// written state without further synchronization.
   virtual bool WaitIdle(int64_t timeout_us) = 0;
+
+  /// Copies the per-instance counters.
+  virtual TransportStats stats() const = 0;
+
+  /// Deterministic per-frame fault schedule (see FaultInjector).
+  /// Lossless transports ignore it.
+  virtual void set_fault_schedule(FaultInjector::Schedule /*schedule*/) {}
+};
+
+/// Lossless, zero-latency transport that delivers on the calling
+/// thread: a Send to an idle endpoint runs its handler before
+/// returning, so single-threaded callers see every effect — including
+/// the acks and snapshot chunks the handler sends on — once Send
+/// returns. No worker threads.
+///
+/// No lock is held across a handler (callers deliver while holding
+/// their own locks, and handlers take others). Instead each endpoint
+/// carries a busy flag: a Send to an endpoint another call is already
+/// delivering to appends to its FIFO queue, and the delivering thread
+/// drains it — so one endpoint's frames run one at a time, in send
+/// order.
+class InlineTransport : public Transport {
+ public:
+  Status Bind(EndpointId endpoint, FrameHandler handler) override
+      EXCLUDES(mu_);
+  void Unbind(EndpointId endpoint) override EXCLUDES(mu_);
+  bool IsBound(EndpointId endpoint) const override EXCLUDES(mu_);
+  Status Send(EndpointId to, std::string frame) override EXCLUDES(mu_);
+  bool WaitIdle(int64_t timeout_us) override EXCLUDES(mu_);
+  TransportStats stats() const override EXCLUDES(mu_);
+
+ private:
+  struct Endpoint {
+    explicit Endpoint(FrameHandler h) : handler(std::move(h)) {}
+    /// Immutable after Bind, so the delivering thread calls it unlocked.
+    const FrameHandler handler;
+    /// The rest is guarded by the owning transport's mu_ (inexpressible
+    /// as a GUARDED_BY, which cannot name another object's capability
+    /// from a nested struct).
+    std::deque<std::string> queue;
+    bool busy = false;  ///< Some thread is draining the queue.
+    bool unbound = false;
+    std::thread::id deliverer;  ///< The draining thread while busy.
+  };
+
+  /// Runs `state`'s queued frames on this thread until the queue is
+  /// empty or the endpoint is unbound, then clears its busy flag.
+  void Drain(const std::shared_ptr<Endpoint>& state) EXCLUDES(mu_);
+
+  /// Held only around registry, queue and counter updates — never
+  /// across a handler.
+  mutable Mutex mu_{LockRank::kNetTransport, "net.inline_transport"};
+  /// Signalled whenever a drain ends (Unbind and WaitIdle wait on it).
+  CondVar drained_cv_;
+  std::map<EndpointId, std::shared_ptr<Endpoint>> endpoints_ GUARDED_BY(mu_);
+  TransportStats stats_ GUARDED_BY(mu_);
+  int64_t active_ GUARDED_BY(mu_) = 0;  ///< Frames queued or in a handler.
 };
 
 /// Tuning of the in-process transport.
@@ -122,11 +180,10 @@ class InProcessTransport : public Transport {
   /// must not hold it (a handler reading stats() of its own transport
   /// runs lock-free and is fine — workers drop every lock before
   /// invoking handlers).
-  TransportStats stats() const EXCLUDES(mu_);
+  TransportStats stats() const override EXCLUDES(mu_);
   FaultStats fault_stats() const { return injector_.stats(); }
 
-  /// Deterministic per-frame fault schedule (see FaultInjector).
-  void set_fault_schedule(FaultInjector::Schedule schedule) {
+  void set_fault_schedule(FaultInjector::Schedule schedule) override {
     injector_.set_schedule(std::move(schedule));
   }
 

@@ -11,8 +11,7 @@
 
 namespace mdv::net {
 
-/// Versioned binary wire format for the asynchronous notification
-/// transport. Every message travels as one self-contained frame:
+/// Versioned binary wire format for the notification transport. Every message travels as one self-contained frame:
 ///
 ///   offset  size  field
 ///   ------  ----  -----------------------------------------------

@@ -31,10 +31,6 @@ bool IsFilterSpan(const SpanRecord& span) {
   return span.name == "filter.run" || span.name == "filter.evaluate_new_rules";
 }
 
-bool IsDeliverSpan(const SpanRecord& span) {
-  return span.name == "net.deliver" || span.name == "network.deliver";
-}
-
 std::string FormatFraction(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
@@ -98,7 +94,7 @@ void TraceAggregator::AggregateTrace(
     if (span->name == "lmr.apply_notification") applies.push_back(span);
     if (IsFilterSpan(*span)) filters.push_back(span);
     if (span->name == "net.enqueue") enqueues[LmrOf(*span)].push_back(span);
-    if (IsDeliverSpan(*span)) delivers[LmrOf(*span)].push_back(span);
+    if (span->name == "net.deliver") delivers[LmrOf(*span)].push_back(span);
   }
   const auto by_start = [](const SpanRecord* a, const SpanRecord* b) {
     return a->start_ns < b->start_ns;
@@ -121,24 +117,14 @@ void TraceAggregator::AggregateTrace(
       enqueue = eq->second[std::min(k, eq->second.size() - 1)];
     }
 
-    // The deliver that handed this apply over: in sync mode the
-    // network.deliver span *contains* the apply; in async mode the
-    // frame's own net.deliver span ended before the apply started
-    // (later than that only if the link held the frame back).
+    // The deliver that handed this apply over: the frame's own
+    // net.deliver span ended before the apply started (later than that
+    // only if the link held the frame back).
     const SpanRecord* deliver = nullptr;
-    bool contains = false;
     auto dq = delivers.find(lmr);
     if (dq != delivers.end()) {
       for (const SpanRecord* d : dq->second) {
-        if (d->start_ns <= apply->start_ns && d->end_ns >= apply->end_ns) {
-          deliver = d;
-          contains = true;
-        }
-      }
-      if (deliver == nullptr) {
-        for (const SpanRecord* d : dq->second) {
-          if (d->end_ns <= apply->start_ns) deliver = d;  // Latest such.
-        }
+        if (d->end_ns <= apply->start_ns) deliver = d;  // Latest such.
       }
       if (deliver == nullptr && !dq->second.empty()) deliver = dq->second[0];
     }
@@ -171,12 +157,7 @@ void TraceAggregator::AggregateTrace(
     if (enqueue != nullptr) {
       t3 = enqueue->end_ns;
       t4 = deliver != nullptr ? deliver->start_ns : apply->start_ns;
-      t4e = deliver != nullptr && !contains ? deliver->end_ns
-                                            : apply->start_ns;
-    } else if (deliver != nullptr && contains) {
-      t3 = deliver->start_ns;  // Sync: handler runs inside the deliver.
-      t4 = deliver->start_ns;
-      t4e = apply->start_ns;
+      t4e = deliver != nullptr ? deliver->end_ns : apply->start_ns;
     } else if (deliver != nullptr) {
       t3 = deliver->start_ns;
       t4 = deliver->start_ns;

@@ -27,10 +27,9 @@ struct CriticalPathEntry {
 ///
 ///   ingest     trace root start → first filter span start
 ///   filter     filter span window (filter.run / evaluate_new_rules)
-///   publish    filter end → net.enqueue end (async) or
-///              network.deliver start (sync): fan-out + encode
-///   transport  enqueue end → net.deliver start (async queueing + wire)
-///   deliver    the net.deliver / network.deliver span itself
+///   publish    filter end → net.enqueue end: fan-out + encode
+///   transport  enqueue end → net.deliver start (queueing + wire)
+///   deliver    the net.deliver span itself
 ///   holdback   deliver end → apply start (reliable-link reordering)
 ///   apply      the lmr.apply_notification span
 ///

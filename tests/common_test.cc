@@ -100,9 +100,6 @@ TEST(StringUtilTest, PrefixSuffixContains) {
 
 TEST(StringUtilTest, LowerAndJoin) {
   EXPECT_EQ(ToLowerAscii("SeArCh"), "search");
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"solo"}, ","), "solo");
 }
 
 TEST(LoggingTest, LevelGate) {

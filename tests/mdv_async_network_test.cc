@@ -231,7 +231,6 @@ TEST(MdvAsyncNetworkTest, AsyncStatsAndUndeliverableMirrorSyncSemantics) {
   NetworkOptions options;
   options.asynchronous = true;
   MdvSystem system(rdf::MakeObjectGlobeSchema(), {}, options);
-  ASSERT_TRUE(system.network().asynchronous());
 
   // No LMR attached: the publish is counted undeliverable, like the
   // synchronous bus does.

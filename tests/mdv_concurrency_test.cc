@@ -35,7 +35,7 @@ pubsub::Notification MakeNote(pubsub::LmrId lmr, size_t resources) {
   note.subscription = 1;
   for (size_t i = 0; i < resources; ++i) {
     note.resources.push_back(pubsub::TransmittedResource{
-        "d.rdf#r" + std::to_string(i), rdf::Resource(), false});
+        "d.rdf#r" + std::to_string(i), rdf::Resource(), false, {}});
   }
   return note;
 }

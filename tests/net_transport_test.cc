@@ -213,6 +213,82 @@ TEST(TransportTest, HandlerMayUnbindItself) {
   EXPECT_FALSE(transport.IsBound(1));
 }
 
+// ---- InlineTransport. ---------------------------------------------------
+
+TEST(InlineTransportTest, DeliversBeforeSendReturns) {
+  InlineTransport transport;
+  std::vector<std::string> received;
+  ASSERT_TRUE(transport.Bind(1, [&](std::string frame) {
+    received.push_back(std::move(frame));
+  }).ok());
+  ASSERT_TRUE(transport.Send(1, "a").ok());
+  EXPECT_EQ(received, std::vector<std::string>{"a"});
+  EXPECT_EQ(transport.Send(2, "b").code(), StatusCode::kNotFound);
+  const TransportStats stats = transport.stats();
+  EXPECT_EQ(stats.sent, 1);
+  EXPECT_EQ(stats.delivered, 1);
+  EXPECT_EQ(stats.dropped_unbound, 1);
+  EXPECT_TRUE(transport.WaitIdle(0));
+}
+
+TEST(InlineTransportTest, SendToABusyEndpointQueuesInOrder) {
+  // A handler sending to its own endpoint finds it busy: the frames
+  // queue and run after the current one returns, in send order, while a
+  // send to an idle endpoint runs at once, nested.
+  InlineTransport transport;
+  std::vector<std::string> log;
+  ASSERT_TRUE(transport.Bind(2, [&](std::string frame) {
+    log.push_back("2:" + frame);
+  }).ok());
+  ASSERT_TRUE(transport.Bind(1, [&](std::string frame) {
+    log.push_back("1:" + frame + ":begin");
+    if (frame == "a") {
+      ASSERT_TRUE(transport.Send(1, "b").ok());
+      ASSERT_TRUE(transport.Send(1, "c").ok());
+      ASSERT_TRUE(transport.Send(2, "x").ok());
+    }
+    log.push_back("1:" + frame + ":end");
+  }).ok());
+  ASSERT_TRUE(transport.Send(1, "a").ok());
+  const std::vector<std::string> expected = {
+      "1:a:begin", "2:x", "1:a:end", "1:b:begin",
+      "1:b:end",   "1:c:begin", "1:c:end"};
+  EXPECT_EQ(log, expected);
+}
+
+TEST(InlineTransportTest, UnbindWaitsOutADeliveryOnAnotherThread) {
+  InlineTransport transport;
+  std::atomic<bool> in_handler{false};
+  std::atomic<bool> release{false};
+  ASSERT_TRUE(transport.Bind(1, [&](std::string) {
+    in_handler.store(true);
+    while (!release.load()) std::this_thread::yield();
+    in_handler.store(false);
+  }).ok());
+  std::thread sender([&] { ASSERT_TRUE(transport.Send(1, "x").ok()); });
+  while (!in_handler.load()) std::this_thread::yield();
+  std::thread unbinder([&] { transport.Unbind(1); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(in_handler.load());
+  release.store(true);
+  unbinder.join();
+  EXPECT_FALSE(in_handler.load());
+  sender.join();
+  EXPECT_EQ(transport.Send(1, "y").code(), StatusCode::kNotFound);
+}
+
+TEST(InlineTransportTest, HandlerMayUnbindItself) {
+  InlineTransport transport;
+  int calls = 0;
+  ASSERT_TRUE(transport.Bind(1, [&](std::string) {
+    ++calls;
+    transport.Unbind(1);
+  }).ok());
+  ASSERT_TRUE(transport.Send(1, "x").ok());
+  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(transport.IsBound(1));
+}
+
 // ---- ReliableLink. ------------------------------------------------------
 
 Notification MakeNote(pubsub::LmrId lmr, int tag) {
@@ -222,7 +298,7 @@ Notification MakeNote(pubsub::LmrId lmr, int tag) {
   note.subscription = 1;
   rdf::Resource res("r" + std::to_string(tag), "Movie");
   res.AddProperty("tag", rdf::PropertyValue::Literal(std::to_string(tag)));
-  note.resources.push_back({"http://d#" + std::to_string(tag), res, false});
+  note.resources.push_back({"http://d#" + std::to_string(tag), res, false, {}});
   return note;
 }
 
@@ -331,6 +407,79 @@ TEST(ReliableLinkTest, RebindingABoundLmrLeavesTheLiveReceiverIntact) {
   EXPECT_EQ(first.load(), 1);
   EXPECT_EQ(second.load(), 0);
   EXPECT_EQ(link.stats().dead_lettered, 0);
+}
+
+TEST(ReliableLinkTest, RebindAfterUnbindReceivesAgain) {
+  // A volatile receiver bound again at a detached id starts where its
+  // senders are: the next publish is delivered, not parked in hold-back
+  // behind sequence numbers the earlier receiver consumed.
+  InProcessTransport transport;
+  ReliableLink link(&transport);
+  const uint64_t sender = link.RegisterSender();
+  std::atomic<int> first{0};
+  std::atomic<int> second{0};
+  ASSERT_TRUE(
+      link.BindReceiver(5, [&](const Notification&) { ++first; }).ok());
+  ASSERT_TRUE(link.Publish(sender, MakeNote(5, 0)).ok());
+  ASSERT_TRUE(link.Publish(sender, MakeNote(5, 1)).ok());
+  ASSERT_TRUE(link.WaitSettled(30'000'000));
+  link.UnbindReceiver(5);
+  ASSERT_TRUE(
+      link.BindReceiver(5, [&](const Notification&) { ++second; }).ok());
+  ASSERT_TRUE(link.Publish(sender, MakeNote(5, 2)).ok());
+  ASSERT_TRUE(link.WaitSettled(30'000'000));
+  EXPECT_EQ(first.load(), 2);
+  EXPECT_EQ(second.load(), 1);
+  EXPECT_EQ(link.HoldbackDepth(), 0u);
+}
+
+TEST(ReliableLinkTest, UnbindDropsUnackedFramesOfAVolatileReceiver) {
+  // Acks never come back, so the frame would be retransmitted until the
+  // retry cap; unbinding the volatile receiver drops it instead.
+  InProcessTransport transport;
+  ReliableLink link(&transport);
+  ASSERT_TRUE(link.BindReceiver(1, [](const Notification&) {}).ok());
+  const uint64_t sender = link.RegisterSender();
+  transport.Unbind(ReliableLink::AckEndpoint(sender));
+  ASSERT_TRUE(link.Publish(sender, MakeNote(1, 0)).ok());
+  EXPECT_EQ(link.PendingCount(), 1u);
+  link.UnbindReceiver(1);
+  EXPECT_EQ(link.PendingCount(), 0u);
+  EXPECT_TRUE(link.WaitSettled(30'000'000));
+  EXPECT_EQ(link.stats().dead_lettered, 0);
+}
+
+// The link unbinds a released sender's ack endpoint on its retransmit
+// thread, so the release lands shortly after the last ack.
+bool EventuallyUnbound(const Transport& transport, EndpointId endpoint) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (transport.IsBound(endpoint) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return !transport.IsBound(endpoint);
+}
+
+TEST(ReliableLinkTest, RetiredSenderReleasesItsAckEndpointOnceAcked) {
+  InProcessTransport transport;
+  ReliableLink link(&transport);
+  std::atomic<int> received{0};
+  ASSERT_TRUE(
+      link.BindReceiver(1, [&](const Notification&) { ++received; }).ok());
+  const uint64_t sender = link.RegisterSender();
+  ASSERT_TRUE(transport.IsBound(ReliableLink::AckEndpoint(sender)));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(link.Publish(sender, MakeNote(1, i)).ok());
+  }
+  link.RetireSender(sender);
+  ASSERT_TRUE(link.WaitSettled(30'000'000));
+  EXPECT_EQ(received.load(), 3);
+  EXPECT_TRUE(EventuallyUnbound(transport, ReliableLink::AckEndpoint(sender)));
+  // An idle sender is released right away.
+  const uint64_t idle = link.RegisterSender();
+  link.RetireSender(idle);
+  EXPECT_TRUE(EventuallyUnbound(transport, ReliableLink::AckEndpoint(idle)));
 }
 
 TEST(ReliableLinkTest, DeadLettersAfterRetryCapWhenReceiverNeverAcks) {

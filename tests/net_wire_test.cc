@@ -36,10 +36,10 @@ NotifyFrame MakeNotifyFrame() {
   movie.AddProperty("director",
                     rdf::PropertyValue::ResourceRef("http://p.example#d1"));
   note.resources.push_back(
-      {"http://docs.example/a#m1", std::move(movie), false});
+      {"http://docs.example/a#m1", std::move(movie), false, {}});
   rdf::Resource person = MakeResource("d1", "Person");
   person.AddProperty("name", rdf::PropertyValue::Literal("Fritz Lang"));
-  note.resources.push_back({"http://p.example#d1", std::move(person), true});
+  note.resources.push_back({"http://p.example#d1", std::move(person), true, {}});
   return frame;
 }
 
@@ -111,7 +111,7 @@ TEST(WireCodecTest, EmptyAndUnicodeLiteralsRoundTrip) {
   res.AddProperty("cjk", rdf::PropertyValue::Literal("メタデータ管理"));
   res.AddProperty("emoji", rdf::PropertyValue::Literal("🎬📽️"));
   res.AddProperty("nul", rdf::PropertyValue::Literal(std::string("a\0b", 3)));
-  frame.notification.resources.push_back({"", res, false});
+  frame.notification.resources.push_back({"", res, false, {}});
   Result<DecodedFrame> decoded = DecodeFrame(EncodeNotifyFrame(frame));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ExpectNotificationsEqual(frame.notification,
@@ -136,7 +136,7 @@ TEST(WireCodecTest, ManyResourcesManyPropertiesRoundTrip) {
                                        "http://x#" + std::to_string(p)));
     }
     frame.notification.resources.push_back(
-        {"http://docs#" + std::to_string(i), std::move(res), i % 3 == 0});
+        {"http://docs#" + std::to_string(i), std::move(res), i % 3 == 0, {}});
   }
   Result<DecodedFrame> decoded = DecodeFrame(EncodeNotifyFrame(frame));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -185,7 +185,7 @@ TEST(WireCodecTest, RejectsEveryBitFlip) {
   small.notification.lmr = 3;
   rdf::Resource res = MakeResource("x", "Movie");
   res.AddProperty("t", rdf::PropertyValue::Literal("v"));
-  small.notification.resources.push_back({"http://d#x", res, false});
+  small.notification.resources.push_back({"http://d#x", res, false, {}});
   const std::string encoded = EncodeNotifyFrame(small);
   for (size_t byte = 0; byte < encoded.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {

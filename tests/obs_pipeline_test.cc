@@ -1,8 +1,9 @@
 // End-to-end observability test: one MDP publish must produce a single
 // connected trace covering the whole pipeline — mdp.publish → filter.run
 // (with initial-iteration / delta-join / materialization children) →
-// publish.new_matches → network.deliver → lmr.apply_notification — and
-// the registry counters must reflect the run.
+// publish.new_matches → net.enqueue → net.deliver →
+// lmr.apply_notification — and the registry counters must reflect the
+// run.
 
 #include <gtest/gtest.h>
 
@@ -91,7 +92,7 @@ TEST(ObsPipelineTest, OnePublishIsOneConnectedTrace) {
   for (const char* name :
        {"mdp.publish", "filter.run", "filter.initial_iteration",
         "filter.delta_join", "filter.materialize", "publish.new_matches",
-        "network.deliver", "lmr.apply_notification"}) {
+        "net.enqueue", "net.deliver", "lmr.apply_notification"}) {
     EXPECT_FALSE(SpansNamed(spans, name).empty()) << name;
   }
 

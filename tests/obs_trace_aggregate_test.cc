@@ -84,33 +84,6 @@ TEST(TraceAggregatorTest, AsyncTraceTilesAllSevenStages) {
   EXPECT_EQ(snap.histograms.at("mdv.slo.stage.transport_us").sum, 2000);
 }
 
-TEST(TraceAggregatorTest, SyncDeliverContainingApplySkipsTransport) {
-  // Sync mode: network.deliver(2.5..4.5ms) contains apply(3..4ms); the
-  // deliver stage is deliver-start→apply-start, no transport/holdback.
-  std::vector<SpanRecord> spans = {
-      MakeSpan(2, 1, 0, "mdp.publish", 0, 5 * kMs),
-      MakeSpan(2, 2, 1, "filter.run", 1 * kMs, 2 * kMs),
-      MakeSpan(2, 3, 1, "network.deliver", 2 * kMs + kMs / 2, 4 * kMs + kMs / 2,
-               "1"),
-      MakeSpan(2, 4, 3, "lmr.apply_notification", 3 * kMs, 4 * kMs, "1"),
-  };
-  MetricsRegistry registry;
-  TraceAggregator agg(&registry);
-  agg.Ingest(spans);
-
-  ASSERT_EQ(agg.samples(), 1);
-  EXPECT_EQ(agg.EndToEnd().sum, 4000);  // root.start → apply.end.
-  const std::vector<std::string> expected = {"ingest", "filter", "publish",
-                                             "deliver", "apply"};
-  EXPECT_EQ(agg.StageNames(), expected);
-  EXPECT_EQ(agg.StageSnapshot("ingest").sum, 1000);
-  EXPECT_EQ(agg.StageSnapshot("filter").sum, 1000);
-  EXPECT_EQ(agg.StageSnapshot("publish").sum, 500);
-  EXPECT_EQ(agg.StageSnapshot("deliver").sum, 500);
-  EXPECT_EQ(agg.StageSnapshot("apply").sum, 1000);
-  EXPECT_DOUBLE_EQ(agg.StageCoverage(), 1.0);
-}
-
 TEST(TraceAggregatorTest, MultipleAppliesPairWithTheirEnqueues) {
   // Two LMRs on one publish; lmr 9 receives two notifications (update
   // protocol). The k-th apply of lmr 9 pairs with its k-th enqueue.

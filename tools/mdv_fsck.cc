@@ -104,8 +104,8 @@ mdv::Status CheckMdpImage(const std::string& dir,
                           ImageReport* report) {
   MDV_ASSIGN_OR_RETURN(mdv::rdf::RdfSchema schema,
                        mdv::rdf::ParseSchemaText(manifest.schema_text));
-  mdv::Network network;  // Synchronous, no LMRs attached: replay
-                         // deliveries fall into the void by design.
+  mdv::Network network;  // No LMRs attached: replay deliveries fall
+                         // into the void by design.
   mdv::filter::RuleStoreOptions rule_options;
   rule_options.num_shards = static_cast<int>(manifest.num_shards);
   mdv::MetadataProvider provider(&schema, &network, rule_options);
