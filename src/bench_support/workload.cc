@@ -98,10 +98,9 @@ FilterFixture::FilterFixture(filter::RuleStoreOptions rule_options,
                              filter::TableOptions table_options,
                              filter::EngineOptions engine_options)
     : schema_(rdf::MakeObjectGlobeSchema()) {
-  // The physical layout must match the store's routing; deriving it here
-  // keeps callers from having to set the shard count twice.
-  table_options.num_shards = rule_options.num_shards;
-  Status st = filter::CreateFilterTables(&db_, table_options);
+  // The physical layout must match the store's routing.
+  Status st = filter::CreateFilterTables(&db_, table_options,
+                                         rule_options.num_shards);
   (void)st;  // Fresh database; cannot fail.
   store_ = std::make_unique<filter::RuleStore>(&db_, rule_options);
   engine_ = std::make_unique<filter::FilterEngine>(&db_, store_.get(),

@@ -166,7 +166,6 @@ const char* LockRankName(LockRank rank) {
     case LockRank::kNetIdle: return "net.idle";
     case LockRank::kNetFault: return "net.fault";
     case LockRank::kFilterPool: return "filter.pool";
-    case LockRank::kFilterQueue: return "filter.pool.queue";
     case LockRank::kWalJournal: return "wal.journal";
     case LockRank::kObsRegistry: return "obs.metrics";
     case LockRank::kObsTracer: return "obs.tracer";

@@ -57,11 +57,8 @@ enum class LockRank : int {
   kNetIdle = 57,
   /// net::FaultInjector decision state.
   kNetFault = 60,
-  /// filter::WorkStealingPool batch state.
+  /// filter::ForkJoinRunner batch state.
   kFilterPool = 70,
-  /// One pool worker's task deque (never nests with the batch lock or
-  /// another deque).
-  kFilterQueue = 74,
   /// wal::Journal segment/manifest state. Acquired under kMdpApi (the
   /// MDP journals inside its entry points) and from transport endpoint
   /// threads holding nothing (the LMR's pre-ack journal hook runs after

@@ -320,31 +320,6 @@ Status FilterEngine::AppendMaterialized(int64_t rule_id,
   return mat->InsertRows(std::move(rows));
 }
 
-Status FilterEngine::WriteResultObjects(
-    int shard, const std::map<int64_t, MatchSet>& current) {
-  Table* ro = db_->GetTable(ShardTableName(kResultObjects, shard));
-  ro->Truncate();
-  std::vector<Row> rows;
-  for (const auto& [rule_id, uris] : current) {
-    for (const std::string& uri : uris) {
-      rows.push_back({Str(uri), Int(rule_id)});
-    }
-  }
-  return ro->InsertRows(std::move(rows));
-}
-
-Status FilterEngine::WriteMergedResultObjects(const FilterRunResult& result) {
-  Table* ro = db_->GetTable(kResultObjects);
-  ro->Truncate();
-  std::vector<Row> rows;
-  for (const auto& [rule_id, uris] : result.matches) {
-    for (const std::string& uri : uris) {  // Already sorted per rule.
-      rows.push_back({Str(uri), Int(rule_id)});
-    }
-  }
-  return ro->InsertRows(std::move(rows));
-}
-
 Result<FilterRunResult> FilterEngine::Run(const rdf::Statements& delta,
                                           const FilterOptions& options) {
   EngineMetrics& metrics = EngineMetrics::Get();
@@ -360,35 +335,30 @@ Result<FilterRunResult> FilterEngine::Run(const rdf::Statements& delta,
     MDV_RETURN_IF_ERROR(RunShard(0, delta, grouped, options, nullptr,
                                  run_span.context(), &result));
   } else {
-    // Fan the regular shards out (work-stealing pool when configured and
+    // Fan the regular shards out (fork-join runner when configured and
     // outside a transaction — the undo log is not thread-safe), then run
     // the overflow shard, then merge deterministically.
     const int regular = store_->num_shards();
     std::vector<FilterRunResult> outcomes(static_cast<size_t>(regular));
     std::vector<Status> statuses(static_cast<size_t>(regular), Status::OK());
-    const bool parallel = pool_ != nullptr && !db_->InTransaction();
-    // Capture the run span's context for the shard tasks: pool workers
+    // Capture the run span's context for the shard tasks: runner helpers
     // have an empty thread-local span stack, so without the explicit
     // parent every filter.shard_run span would start a detached trace.
     const obs::SpanContext run_context = run_span.context();
-    if (parallel) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(static_cast<size_t>(regular));
-      for (int shard = 0; shard < regular; ++shard) {
-        tasks.push_back([this, shard, run_context, &delta, &grouped, &options,
-                         &outcomes, &statuses] {
-          statuses[static_cast<size_t>(shard)] =
-              RunShard(shard, delta, grouped, options, nullptr, run_context,
-                       &outcomes[static_cast<size_t>(shard)]);
-        });
-      }
-      pool_->Run(std::move(tasks));
-    } else {
-      for (int shard = 0; shard < regular; ++shard) {
+    std::vector<std::function<void()>> tasks;
+    tasks.reserve(static_cast<size_t>(regular));
+    for (int shard = 0; shard < regular; ++shard) {
+      tasks.push_back([this, shard, run_context, &delta, &grouped, &options,
+                       &outcomes, &statuses] {
         statuses[static_cast<size_t>(shard)] =
             RunShard(shard, delta, grouped, options, nullptr, run_context,
                      &outcomes[static_cast<size_t>(shard)]);
-      }
+      });
+    }
+    if (pool_ != nullptr && !db_->InTransaction()) {
+      pool_->Run(tasks);
+    } else {
+      for (const auto& task : tasks) task();
     }
     for (const Status& status : statuses) MDV_RETURN_IF_ERROR(status);
 
@@ -432,7 +402,6 @@ Result<FilterRunResult> FilterEngine::Run(const rdf::Statements& delta,
       result.stats.index_hits += outcome.stats.index_hits;
       result.stats.scan_fallbacks += outcome.stats.scan_fallbacks;
     }
-    MDV_RETURN_IF_ERROR(WriteMergedResultObjects(result));
   }
 
   // Mirror the run's counters into the process-wide registry (the
@@ -468,8 +437,8 @@ Status FilterEngine::RunShard(int shard, const rdf::Statements& delta,
   const bool sharded = store_->total_shards() > 1;
 
   // Per-shard observability: a span per shard pass (parented explicitly
-  // to the filter.run span — the thread-local stack is empty on pool
-  // workers) and `mdv.filter.shard.<k>.*` counters. Emitted only when
+  // to the filter.run span — the thread-local stack is empty on runner
+  // helpers) and `mdv.filter.shard.<k>.*` counters. Emitted only when
   // sharding is on, so the single-shard profile stays identical to the
   // paper's engine.
   std::optional<obs::ScopedSpan> shard_span;
@@ -589,11 +558,10 @@ Status FilterEngine::RunShard(int shard, const rdf::Statements& delta,
   // ---- Iterate join-rule evaluation until no new matches. --------------
   while (!current.empty()) {
     {
-      // Materialization: mirror the iteration's matches into
-      // ResultObjects and append them to MaterializedResults.
+      // Materialization: collect the iteration's matches and append
+      // them to MaterializedResults.
       obs::ScopedSpan mat_span("filter.materialize",
                                &metrics.materialize_us);
-      MDV_RETURN_IF_ERROR(WriteResultObjects(shard, current));
       for (const auto& [rule_id, uris] : current) {
         MatchSet& sink = all_matches[rule_id];
         sink.insert(uris.begin(), uris.end());
@@ -815,54 +783,39 @@ Result<FilterRunResult> FilterEngine::EvaluateNewRules(
   FilterRunResult result;
   const std::unordered_set<int64_t> new_rule_set(new_rules.begin(),
                                                  new_rules.end());
+  std::map<int64_t, MatchSet> fresh;
+  const Table* atomic = db_->GetTable(kAtomicRules);
+  const Table* data = db_->GetTable(kFilterData);
 
-  // Group the new rules by owning shard, preserving the
-  // children-before-parents order within each group. One registration's
-  // tree lives in a single shard, so there is usually one group; batch
-  // registrations fan out like Run does. The overflow group must run
-  // last and alone: ensuring a never-materialized input of an overflow
-  // rule can write another shard's MaterializedResults.
-  std::map<int, std::vector<int64_t>> by_shard;
-  for (int64_t rule_id : new_rules) {
-    by_shard[store_->ShardOf(rule_id)].push_back(rule_id);
-  }
+  // Returns the full result set of `rule_id`, evaluating it from scratch
+  // (recursively) when it is new or was never materialized.
+  std::function<Result<MatchSet>(int64_t)> ensure =
+      [&](int64_t rule_id) -> Result<MatchSet> {
+    auto fit = fresh.find(rule_id);
+    if (fit != fresh.end()) return fit->second;
+    std::vector<std::string> mat = MaterializedOf(rule_id);
+    bool is_new = new_rule_set.count(rule_id) != 0;
+    if (!is_new && !mat.empty()) {
+      return MatchSet(mat.begin(), mat.end());
+    }
+    const int shard = store_->ShardOf(rule_id);
 
-  auto evaluate_group = [this, &new_rule_set](
-                            const std::vector<int64_t>& group_rules,
-                            FilterRunResult* group_out) -> Status {
-    std::map<int64_t, MatchSet> fresh;
-    const Table* atomic = db_->GetTable(kAtomicRules);
-    const Table* data = db_->GetTable(kFilterData);
+    std::vector<Row> rows = atomic->SelectRows({ScanCondition{
+        AtomicRulesCols::kRuleId, CompareOp::kEq, Int(rule_id)}});
+    if (rows.empty()) {
+      return Status::NotFound("atomic rule " + std::to_string(rule_id));
+    }
+    const Row& rule = rows[0];
+    MatchSet out;
 
-    // Returns the full result set of `rule_id`, evaluating it from
-    // scratch (recursively) when it is new or was never materialized.
-    std::function<Result<MatchSet>(int64_t)> ensure =
-        [&](int64_t rule_id) -> Result<MatchSet> {
-      auto fit = fresh.find(rule_id);
-      if (fit != fresh.end()) return fit->second;
-      std::vector<std::string> mat = MaterializedOf(rule_id);
-      bool is_new = new_rule_set.count(rule_id) != 0;
-      if (!is_new && !mat.empty()) {
-        return MatchSet(mat.begin(), mat.end());
-      }
-      const int shard = store_->ShardOf(rule_id);
-
-      std::vector<Row> rows = atomic->SelectRows({ScanCondition{
-          AtomicRulesCols::kRuleId, CompareOp::kEq, Int(rule_id)}});
-      if (rows.empty()) {
-        return Status::NotFound("atomic rule " + std::to_string(rule_id));
-      }
-      const Row& rule = rows[0];
-      MatchSet out;
-
-      if (rule[AtomicRulesCols::kKind].as_string() == "T") {
-        // Reconstruct the triggering spec from the owning shard's
-        // FilterRules tables and evaluate it over the full FilterData
-        // contents.
-        const std::string& cls = rule[AtomicRulesCols::kType].as_string();
-        auto scan_rule_rows = [&](const std::string& table_name, CompareOp op,
-                                  bool numeric_only) {
-          const Table* table = db_->GetTable(ShardTableName(table_name, shard));
+    if (rule[AtomicRulesCols::kKind].as_string() == "T") {
+      // Reconstruct the triggering spec from the owning shard's
+      // FilterRules tables and evaluate it over the full FilterData
+      // contents.
+      const std::string& cls = rule[AtomicRulesCols::kType].as_string();
+      auto scan_rule_rows = [&](const std::string& table_name, CompareOp op,
+                                bool numeric_only) {
+        const Table* table = db_->GetTable(ShardTableName(table_name, shard));
         for (const Row& rrow : table->SelectRows({ScanCondition{
                  FilterRulesCols::kRuleId, CompareOp::kEq, Int(rule_id)}})) {
           const std::string& prop =
@@ -949,63 +902,13 @@ Result<FilterRunResult> FilterEngine::EvaluateNewRules(
       MDV_RETURN_IF_ERROR(AppendMaterialized(rule_id, missing));
     }
     return out;
-    };
-
-    for (int64_t rule_id : group_rules) {
-      MDV_ASSIGN_OR_RETURN(MatchSet matches, ensure(rule_id));
-      group_out->matches[rule_id] =
-          std::vector<std::string>(matches.begin(), matches.end());
-      std::sort(group_out->matches[rule_id].begin(),
-                group_out->matches[rule_id].end());
-    }
-    return Status::OK();
   };
 
-  // Regular-shard groups touch only their own shard's tables (plus
-  // read-only global tables), so they can fan out on the pool; the
-  // overflow group runs afterwards on the calling thread.
-  std::vector<std::pair<int, const std::vector<int64_t>*>> regular_groups;
-  const std::vector<int64_t>* overflow_group = nullptr;
-  for (const auto& [shard, group_rules] : by_shard) {
-    if (store_->total_shards() > 1 && shard == store_->overflow_shard()) {
-      overflow_group = &group_rules;
-    } else {
-      regular_groups.emplace_back(shard, &group_rules);
-    }
-  }
-  std::vector<FilterRunResult> outcomes(regular_groups.size());
-  std::vector<Status> statuses(regular_groups.size(), Status::OK());
-  if (pool_ != nullptr && regular_groups.size() > 1 &&
-      !db_->InTransaction()) {
-    // As in Run's fan-out: carry the enclosing span's context into the
-    // pool tasks so their spans stay inside this trace.
-    const obs::SpanContext parent = span.context();
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(regular_groups.size());
-    for (size_t i = 0; i < regular_groups.size(); ++i) {
-      tasks.push_back([&, parent, i] {
-        obs::ScopedSpan group_span("filter.new_rules_group", parent);
-        group_span.AddAttribute("shard",
-                                static_cast<int64_t>(regular_groups[i].first));
-        statuses[i] = evaluate_group(*regular_groups[i].second, &outcomes[i]);
-      });
-    }
-    pool_->Run(std::move(tasks));
-  } else {
-    for (size_t i = 0; i < regular_groups.size(); ++i) {
-      statuses[i] = evaluate_group(*regular_groups[i].second, &outcomes[i]);
-    }
-  }
-  for (const Status& status : statuses) MDV_RETURN_IF_ERROR(status);
-  if (overflow_group != nullptr) {
-    FilterRunResult overflow_outcome;
-    MDV_RETURN_IF_ERROR(evaluate_group(*overflow_group, &overflow_outcome));
-    outcomes.push_back(std::move(overflow_outcome));
-  }
-  for (FilterRunResult& outcome : outcomes) {
-    for (auto& [rule_id, uris] : outcome.matches) {
-      result.matches[rule_id] = std::move(uris);
-    }
+  for (int64_t rule_id : new_rules) {
+    MDV_ASSIGN_OR_RETURN(MatchSet matches, ensure(rule_id));
+    std::vector<std::string>& sorted = result.matches[rule_id];
+    sorted.assign(matches.begin(), matches.end());
+    std::sort(sorted.begin(), sorted.end());
   }
 
   if (AuditInvariantsEnabled()) {

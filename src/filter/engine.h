@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "common/result.h"
+#include "filter/fork_join.h"
 #include "filter/rule_store.h"
-#include "filter/work_stealing.h"
 #include "obs/trace.h"
 #include "rdbms/database.h"
 #include "rdf/statement.h"
@@ -49,7 +49,7 @@ bool AuditInvariantsEnabled();
 
 /// Construction-time options of the engine.
 struct EngineOptions {
-  /// Size of the work-stealing pool that fans a run out across rule-base
+  /// Threads (the caller included) that fan a run out across rule-base
   /// shards. Effective only when the RuleStore is sharded
   /// (num_shards > 1); 1 keeps every run on the calling thread. The
   /// engine also falls back to sequential shard execution inside a
@@ -124,13 +124,12 @@ struct FilterRunResult {
 /// is acyclic.
 /// When the rule store is sharded, a run fans out: each regular shard
 /// executes the two-phase algorithm independently over its own table set
-/// and predicate index (in parallel on the work-stealing pool when
+/// and predicate index (in parallel on the fork-join runner when
 /// `EngineOptions::num_workers` > 1), then the overflow shard — whose
 /// rules may depend on rules of any regular shard — runs last, seeded
 /// with the regular shards' fresh matches. Per-shard results merge
 /// deterministically: matches in stable rule-id order, stats summed
-/// (iterations = max), and the legacy ResultObjects table rewritten with
-/// the run's full match set sorted by (rule_id, uri).
+/// (iterations = max).
 ///
 /// The engine itself is externally synchronized (one Run at a time, no
 /// concurrent RuleStore mutation); parallelism lives strictly inside a
@@ -141,7 +140,7 @@ class FilterEngine {
                EngineOptions options = EngineOptions{})
       : db_(db), store_(rule_store), options_(options) {
     if (options_.num_workers > 1 && store_->total_shards() > 1) {
-      pool_ = std::make_unique<WorkStealingPool>(options_.num_workers);
+      pool_ = std::make_unique<ForkJoinRunner>(options_.num_workers);
     }
   }
 
@@ -149,7 +148,6 @@ class FilterEngine {
   FilterEngine& operator=(const FilterEngine&) = delete;
 
   const RuleStore& rule_store() const { return *store_; }
-  const EngineOptions& engine_options() const { return options_; }
 
   /// Runs the filter with `delta` (the atoms of newly registered or
   /// re-registered documents) as input. The delta atoms must already be
@@ -162,7 +160,8 @@ class FilterEngine {
   /// against the *entire* existing FilterData content, materializing
   /// their results. Use when a subscription arrives after data: existing
   /// rules keep their state, only `new_rules` (children before parents)
-  /// are evaluated from scratch. Returns matches for the new rules.
+  /// are evaluated from scratch, serially in that order (correct whatever
+  /// shards they live in). Returns matches for the new rules.
   Result<FilterRunResult> EvaluateNewRules(
       const std::vector<int64_t>& new_rules);
 
@@ -190,7 +189,7 @@ class FilterEngine {
   /// fresh matches; seeded rules drive joins but are excluded from the
   /// output, the stats and re-materialization. `parent` is the
   /// enclosing filter.run span's context, passed explicitly because a
-  /// pass may execute on a pool worker whose thread-local span stack is
+  /// pass may execute on a runner helper whose thread-local span stack is
   /// empty — without it the shard spans would detach from the trace.
   Status RunShard(int shard, const rdf::Statements& delta,
                   const GroupedDelta& grouped, const FilterOptions& options,
@@ -240,20 +239,10 @@ class FilterEngine {
   Status AppendMaterialized(int64_t rule_id,
                             const std::vector<std::string>& uris);
 
-  /// Mirrors the current iteration's matches into `shard`'s ResultObjects
-  /// table (Figure 9).
-  Status WriteResultObjects(int shard,
-                            const std::map<int64_t, MatchSet>& current);
-
-  /// Multi-shard runs only: rewrites the legacy ResultObjects table with
-  /// the merged run's full match set in (rule_id, uri) order — the
-  /// deterministic merged artifact the differential tests compare.
-  Status WriteMergedResultObjects(const FilterRunResult& result);
-
   rdbms::Database* db_;
   RuleStore* store_;
   EngineOptions options_;
-  std::unique_ptr<WorkStealingPool> pool_;  // Set iff workers>1 && sharded.
+  std::unique_ptr<ForkJoinRunner> pool_;  // Set iff workers>1 && sharded.
 };
 
 }  // namespace mdv::filter

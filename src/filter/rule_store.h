@@ -29,13 +29,13 @@ namespace mdv::filter {
 ///  - `num_shards` partitions the rule base by the (class, property)
 ///    affinity of each rule's triggering atoms: a whole dependency tree
 ///    is routed to `fingerprint(sorted triggering texts) % num_shards`,
-///    each shard owning its own FilterRules*/MaterializedResults/
-///    ResultObjects tables and PredicateIndex, so the engine can fan a
-///    publish out across shards. Rules whose atoms span shards (they
-///    extend subscription rules already placed in two different shards)
-///    go to the overflow shard, evaluated last. Must match the
-///    TableOptions::num_shards the database was created with; 1 keeps
-///    the paper's monolithic layout.
+///    each shard owning its own FilterRules*/MaterializedResults tables
+///    and PredicateIndex, so the engine can fan a publish out across
+///    shards. Rules whose atoms span shards (they extend subscription
+///    rules already placed in two different shards) go to the overflow
+///    shard, evaluated last. Must match the shard count the database's
+///    filter tables were created with (CreateFilterTables); 1 keeps the
+///    paper's monolithic layout.
 struct RuleStoreOptions {
   bool merge_shared_atoms = true;
   bool use_rule_groups = true;

@@ -46,9 +46,10 @@ std::string ShardTableName(const std::string& base, int shard) {
   return base + "@s" + std::to_string(shard);
 }
 
-Status CreateFilterTables(rdbms::Database* db, const TableOptions& options) {
+Status CreateFilterTables(rdbms::Database* db, const TableOptions& options,
+                          int num_shards) {
   const bool ix = options.create_indexes;
-  const int total_shards = TotalShardCount(options.num_shards);
+  const int total_shards = TotalShardCount(num_shards);
 
   // Document atoms (Figure 4). The uri index supports purging a
   // resource's atoms and resolving property values during join
@@ -105,15 +106,8 @@ Status CreateFilterTables(rdbms::Database* db, const TableOptions& options) {
   // legacy unsuffixed names). The rule-base tables above stay global:
   // the dependency graph and groups span shards.
   for (int shard = 0; shard < total_shards; ++shard) {
-    // Per-iteration filter step output (Figure 9) and the materialized
-    // results of atomic rules that join rules depend on (§3.4).
-    MDV_RETURN_IF_ERROR(CreateTableWithIndexes(
-        db,
-        TableSchema(ShardTableName(kResultObjects, shard),
-                    {ColumnDef{"uri_reference", ColumnType::kString},
-                     ColumnDef{"rule_id", ColumnType::kInt64}}),
-        {{"rule_id", IndexKind::kHash}}, ix));
-
+    // The materialized results of atomic rules that join rules depend on
+    // (§3.4).
     MDV_RETURN_IF_ERROR(CreateTableWithIndexes(
         db,
         TableSchema(ShardTableName(kMaterializedResults, shard),
@@ -148,6 +142,25 @@ Status CreateFilterTables(rdbms::Database* db, const TableOptions& options) {
       indexes.emplace_back("rule_id", IndexKind::kHash);
       MDV_RETURN_IF_ERROR(CreateTableWithIndexes(
           db, RulesTableSchema(ShardTableName(name, shard)), indexes, ix));
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckFilterTables(const rdbms::Database& db, int num_shards) {
+  const int total_shards = TotalShardCount(num_shards);
+  std::vector<std::string> bases = AllOperatorTables();
+  bases.push_back(kMaterializedResults);
+  bases.push_back(kFilterRulesCLS);
+  for (int shard = 0; shard <= total_shards; ++shard) {
+    for (const std::string& base : bases) {
+      const std::string name = ShardTableName(base, shard);
+      const bool present = db.GetTable(name) != nullptr;
+      if (present != (shard < total_shards)) {
+        return Status::InvalidArgument(
+            "filter table " + name + (present ? " present" : " missing") +
+            ": not a num_shards=" + std::to_string(num_shards) + " layout");
+      }
     }
   }
   return Status::OK();

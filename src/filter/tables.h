@@ -20,7 +20,6 @@ inline constexpr char kFilterData[] = "FilterData";
 inline constexpr char kAtomicRules[] = "AtomicRules";
 inline constexpr char kRuleDependencies[] = "RuleDependencies";
 inline constexpr char kRuleGroups[] = "RuleGroups";
-inline constexpr char kResultObjects[] = "ResultObjects";
 inline constexpr char kMaterializedResults[] = "MaterializedResults";
 inline constexpr char kFilterRulesCLS[] = "FilterRulesCLS";
 inline constexpr char kFilterRulesEQS[] = "FilterRulesEQS";  ///< = on strings.
@@ -35,13 +34,8 @@ inline constexpr char kFilterRulesCON[] = "FilterRulesCON";
 /// Physical-design knobs (§3.3.4 stresses that the filter tables are
 /// "created with indexes supporting an efficient access"). The ablation
 /// bench toggles `create_indexes` off to quantify that claim.
-/// `num_shards` partitions the per-rule tables (FilterRules*,
-/// MaterializedResults, ResultObjects) into that many shards plus one
-/// overflow shard for rules whose triggering atoms span shards; 1 keeps
-/// the single-table layout of the paper.
 struct TableOptions {
   bool create_indexes = true;
-  int num_shards = 1;
 };
 
 /// Number of table sets CreateFilterTables materializes for `num_shards`
@@ -54,10 +48,20 @@ int TotalShardCount(int num_shards);
 /// paper's), other shards append "@s<k>".
 std::string ShardTableName(const std::string& base, int shard);
 
-/// Creates all filter tables (with their indexes) in `db`. Idempotent
-/// per database: AlreadyExists if called twice.
+/// Creates all filter tables (with their indexes) in `db`. `num_shards`
+/// (RuleStoreOptions::num_shards) partitions the per-rule tables
+/// (FilterRules*, MaterializedResults) into that many shards plus one
+/// overflow shard for rules whose triggering atoms span shards; 1 keeps
+/// the single-table layout of the paper. Idempotent per database:
+/// AlreadyExists if called twice.
 Status CreateFilterTables(rdbms::Database* db,
-                          const TableOptions& options = TableOptions{});
+                          const TableOptions& options = TableOptions{},
+                          int num_shards = 1);
+
+/// InvalidArgument unless `db` (e.g. a loaded snapshot) has the per-shard
+/// tables of exactly `num_shards`: every one the layout reads, and none
+/// of a further shard. Other tables are ignored.
+Status CheckFilterTables(const rdbms::Database& db, int num_shards);
 
 /// The FilterRules table that stores triggering rules using `op` with a
 /// constant of the given kind (numeric matters only for equality).
@@ -131,7 +135,7 @@ struct RuleGroupsCols {
   static constexpr size_t kMemberCount = 8;
 };
 
-/// Column positions of MaterializedResults and ResultObjects.
+/// Column positions of MaterializedResults.
 struct ResultCols {
   static constexpr size_t kUri = 0;
   static constexpr size_t kRuleId = 1;

@@ -80,9 +80,8 @@ MetadataProvider::MetadataProvider(const rdf::RdfSchema* schema,
       engine_options_(engine_options),
       sender_id_(network->RegisterSender()),
       db_(std::make_unique<rdbms::Database>()) {
-  filter::TableOptions table_options;
-  table_options.num_shards = rule_options.num_shards;
-  Status st = filter::CreateFilterTables(db_.get(), table_options);
+  Status st = filter::CreateFilterTables(db_.get(), filter::TableOptions{},
+                                         rule_options.num_shards);
   (void)st;  // Fresh database; cannot fail.
   rule_store_ = std::make_unique<filter::RuleStore>(db_.get(), rule_options);
   engine_ = std::make_unique<filter::FilterEngine>(db_.get(),
@@ -686,6 +685,10 @@ Status MetadataProvider::LoadSnapshotLocked(std::istream& in) {
   if (line != "ENDSNAP") {
     return Status::ParseError("missing ENDSNAP marker");
   }
+  // A snapshot of a provider sharded differently would rebuild a rule
+  // store whose routing misses the tables (or rules) of other shards.
+  MDV_RETURN_IF_ERROR(
+      filter::CheckFilterTables(*db, rule_options_.num_shards));
 
   // Swap in the restored state and rebuild the components bound to it.
   db_ = std::move(db);

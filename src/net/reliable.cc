@@ -214,6 +214,16 @@ void ReliableLink::ReleaseIfDrainedLocked(uint64_t sender) {
   }
   pending_.erase(begin, end);
   next_seq_.erase(next_seq_.lower_bound(first), next_seq_.lower_bound(next));
+  // The receivers' ends of its flows go too: nothing will be sent on
+  // them again, and a late retransmit copy is dropped on arrival.
+  int64_t parked = 0;
+  for (auto& [lmr, receiver] : receivers_) {
+    auto flow = receiver.flows.find(sender);
+    if (flow == receiver.flows.end()) continue;
+    parked += static_cast<int64_t>(flow->second.holdback.size());
+    receiver.flows.erase(flow);
+  }
+  LinkMetrics::Get().holdback_depth.Add(-parked);
   senders_.erase(it);
   released_.push_back(sender);
   scan_cv_.NotifyAll();
@@ -292,6 +302,13 @@ void ReliableLink::OnReceiverFrame(pubsub::LmrId lmr, std::string frame) {
     MutexLock lock(mu_);
     auto it = receivers_.find(lmr);
     if (it == receivers_.end()) return;  // Raced an UnbindReceiver.
+    if (senders_.count(sender) == 0) {
+      // Publish registers every sender before it sends, so this is a
+      // late retransmit copy from a released sender.
+      ++stats_.dedup_suppressed;
+      metrics.dedup.Increment();
+      return;
+    }
     Flow& flow = it->second.flows[sender];
     duplicate = sequence <= flow.applied_through ||
                 flow.holdback.count(sequence) != 0;
@@ -318,6 +335,9 @@ void ReliableLink::OnReceiverFrame(pubsub::LmrId lmr, std::string frame) {
     MutexLock lock(mu_);
     auto it = receivers_.find(lmr);
     if (it == receivers_.end()) return;  // Raced an UnbindReceiver.
+    // A duplicate whose sender was released meanwhile has nothing to
+    // apply and no ack endpoint; keep its erased flow erased.
+    if (duplicate && senders_.count(sender) == 0) return;
     Flow& flow = it->second.flows[sender];
     if (duplicate) {
       ++stats_.dedup_suppressed;

@@ -80,7 +80,7 @@ class Table {
   /// Batch insert: validates every row up front (all-or-nothing — on a
   /// validation error nothing is inserted), then inserts without
   /// per-row error plumbing. The hot write paths of the filter
-  /// (MaterializedResults appends, ResultObjects rewrites) use this.
+  /// (MaterializedResults appends) use this.
   Status InsertRows(std::vector<Row> rows);
 
   /// Removes the row; NotFound if the id does not exist.

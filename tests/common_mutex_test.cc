@@ -51,8 +51,7 @@ TEST_F(LockRankTest, RanksAreStrictlyOrderedOutermostFirst) {
       LockRank::kMdpApi,     LockRank::kNetworkBus, LockRank::kRuleStore,
       LockRank::kNetLink,    LockRank::kNetTransport,
       LockRank::kNetEndpoint, LockRank::kNetIdle,   LockRank::kNetFault,
-      LockRank::kFilterPool, LockRank::kFilterQueue,
-      LockRank::kObsRegistry, LockRank::kObsTracer, LockRank::kObsFlight,
+      LockRank::kFilterPool, LockRank::kObsRegistry, LockRank::kObsTracer, LockRank::kObsFlight,
       LockRank::kLogging,
   };
   for (size_t i = 1; i < std::size(order); ++i) {
@@ -67,8 +66,8 @@ TEST_F(LockRankTest, LockRankNameCoversEveryRank) {
        {LockRank::kMdpApi, LockRank::kNetworkBus, LockRank::kRuleStore,
         LockRank::kNetLink, LockRank::kNetTransport, LockRank::kNetEndpoint,
         LockRank::kNetIdle, LockRank::kNetFault, LockRank::kFilterPool,
-        LockRank::kFilterQueue, LockRank::kObsRegistry, LockRank::kObsTracer,
-        LockRank::kObsFlight, LockRank::kLogging}) {
+        LockRank::kObsRegistry, LockRank::kObsTracer, LockRank::kObsFlight,
+        LockRank::kLogging}) {
     EXPECT_STRNE(LockRankName(rank), "");
   }
 }
@@ -223,21 +222,22 @@ TEST_F(LockRankTest, ViolationHookReceivesBothLocksAndStack) {
 }
 
 TEST_F(LockRankTest, StressNestedWorkersStayOrdered) {
-  // Parallel smoke: many threads nest pool -> queue (the work-stealing
-  // pool's sanctioned order) while the detector is on; none may trip it.
-  Mutex pool(LockRank::kFilterPool, "test.stress.pool");
-  std::vector<std::unique_ptr<Mutex>> queues;
+  // Parallel smoke: many threads nest link -> transport (the reliable
+  // link's sanctioned order: it asks the transport about endpoints while
+  // holding its own lock) while the detector is on; none may trip it.
+  Mutex link(LockRank::kNetLink, "test.stress.link");
+  std::vector<std::unique_ptr<Mutex>> transports;
   for (int i = 0; i < 4; ++i) {
-    queues.push_back(std::make_unique<Mutex>(LockRank::kFilterQueue,
-                                             "test.stress.queue"));
+    transports.push_back(std::make_unique<Mutex>(LockRank::kNetTransport,
+                                                 "test.stress.transport"));
   }
   std::atomic<int> iterations{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 200; ++i) {
-        MutexLock pool_lock(pool);
-        MutexLock queue_lock(*queues[(t + i) % queues.size()]);
+        MutexLock link_lock(link);
+        MutexLock transport_lock(*transports[(t + i) % transports.size()]);
         iterations.fetch_add(1, std::memory_order_relaxed);
       }
     });

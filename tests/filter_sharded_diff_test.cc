@@ -26,7 +26,6 @@
 #include "bench_support/workload.h"
 #include "filter/engine.h"
 #include "filter/tables.h"
-#include "rdbms/table.h"
 #include "rules/compiler.h"
 
 namespace mdv::filter {
@@ -107,27 +106,9 @@ class Harness {
         fixture_->RegisterDocumentBatch(gen.MakeDocumentBatch(first, count));
     ASSERT_TRUE(result.ok()) << result.status().message();
     Accumulate(*result);
-    last_run_ = std::move(*result);
   }
 
   const TextMatches& matches() const { return matches_; }
-
-  /// Multi-shard runs rewrite the legacy ResultObjects table with the
-  /// merged match set in (rule_id, uri) order — the deterministic
-  /// physical artifact downstream consumers read.
-  void VerifyMergedResultObjects() const {
-    std::vector<std::pair<int64_t, std::string>> rows;
-    fixture_->db().GetTable(kResultObjects)->Scan(
-        [&rows](rdbms::RowId, const rdbms::Row& row) {
-          rows.emplace_back(row[ResultCols::kRuleId].as_int(),
-                            row[ResultCols::kUri].as_string());
-        });
-    std::vector<std::pair<int64_t, std::string>> expected;
-    for (const auto& [rule_id, uris] : last_run_.matches) {
-      for (const std::string& uri : uris) expected.emplace_back(rule_id, uri);
-    }
-    EXPECT_EQ(rows, expected);
-  }
 
   void VerifyInvariants() const {
     Status db_ok = fixture_->db().CheckInvariants();
@@ -152,14 +133,12 @@ class Harness {
   /// whose end rule is shared via dedup collapse onto one id).
   std::map<int64_t, std::set<std::string>> end_of_;
   TextMatches matches_;
-  FilterRunResult last_run_;
 };
 
 /// Drives one configuration through the scenario: half the rule base,
 /// one publish, the remaining rules (seeded against live data — the
 /// sharded EvaluateNewRules path), a second publish.
-TextMatches RunScenario(int num_shards, int num_workers, uint32_t seed,
-                        bool verify_merged) {
+TextMatches RunScenario(int num_shards, int num_workers, uint32_t seed) {
   Harness harness(num_shards, num_workers);
   std::vector<std::string> texts = MakeRuleTexts(seed);
   for (size_t i = 0; i < texts.size() / 2; ++i) harness.Register(texts[i]);
@@ -169,7 +148,6 @@ TextMatches RunScenario(int num_shards, int num_workers, uint32_t seed,
   }
   harness.Publish(kDocs / 2, kDocs - kDocs / 2);
   harness.VerifyInvariants();
-  if (verify_merged) harness.VerifyMergedResultObjects();
   return harness.matches();
 }
 
@@ -177,7 +155,7 @@ class ShardedDiffTest : public ::testing::TestWithParam<uint32_t> {};
 
 TEST_P(ShardedDiffTest, ShardConfigurationsMatchUnshardedEngine) {
   const uint32_t seed = GetParam();
-  TextMatches baseline = RunScenario(1, 1, seed, /*verify_merged=*/false);
+  TextMatches baseline = RunScenario(1, 1, seed);
   ASSERT_FALSE(baseline.empty());
   // At least one text must have matched something, else the comparison
   // is vacuous.
@@ -191,8 +169,7 @@ TEST_P(ShardedDiffTest, ShardConfigurationsMatchUnshardedEngine) {
   };
   for (const Config& config :
        {Config{2, 1}, Config{2, 2}, Config{4, 4}, Config{7, 3}}) {
-    TextMatches sharded = RunScenario(config.shards, config.workers, seed,
-                                      /*verify_merged=*/true);
+    TextMatches sharded = RunScenario(config.shards, config.workers, seed);
     EXPECT_EQ(sharded, baseline)
         << "divergence with " << config.shards << " shards, "
         << config.workers << " workers";

@@ -247,6 +247,38 @@ TEST(MdvReplicationTest, DurableReplicaReplaysThenDeltaCatchesUp) {
   EXPECT_EQ(DumpCache(reference), DumpCache(**revived));
 }
 
+/// Every Refresh is served by a fresh snapshot sender that retires when
+/// its last frame is acked; the LMR's end of that sender's flow must go
+/// with it, or the flow state (and a durable LMR's checkpoint) grows by
+/// one entry per refresh.
+void ExpectRefreshesLeaveFlowCount(const NetworkOptions& options) {
+  MdvSystem system(rdf::MakeObjectGlobeSchema(), {}, options);
+  MetadataProvider* provider = system.AddProvider();
+  LocalMetadataRepository* lmr = system.AddRepository(provider);
+  ASSERT_TRUE(lmr->Subscribe(kRule).ok());
+  ASSERT_TRUE(
+      provider->RegisterDocument(MakeDoc("a.rdf", "x.example", 128)).ok());
+  ASSERT_TRUE(system.network().WaitQuiescent());
+  const size_t before = system.network().ReceiverFlowState(lmr->id()).size();
+  EXPECT_EQ(before, 1u);  // The provider's own publish flow.
+
+  for (int i = 0; i < 40; ++i) ASSERT_TRUE(lmr->Refresh().ok());
+  ASSERT_TRUE(system.network().WaitQuiescent());
+  EXPECT_EQ(system.network().ReceiverFlowState(lmr->id()).size(), before);
+  EXPECT_EQ(lmr->CacheSize(), 2u);
+  EXPECT_TRUE(lmr->AuditCacheInvariants().ok());
+}
+
+TEST(MdvReplicationTest, RefreshesReleaseReceiverFlowsOnInlineTransport) {
+  ExpectRefreshesLeaveFlowCount(NetworkOptions{});
+}
+
+TEST(MdvReplicationTest, RefreshesReleaseReceiverFlowsOnThreadedTransport) {
+  NetworkOptions options;
+  options.asynchronous = true;
+  ExpectRefreshesLeaveFlowCount(options);
+}
+
 TEST(MdvReplicationTest, VersionVectorAdvancesAndLastWriterWins) {
   MdvSystem system(rdf::MakeObjectGlobeSchema());
   MetadataProvider* provider = system.AddProvider();
